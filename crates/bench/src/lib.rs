@@ -1,10 +1,10 @@
 //! # bench — shared plumbing for the figure-reproduction benchmarks
 //!
 //! Each benchmark target under `benches/` regenerates one figure or in-text claim of
-//! the paper's evaluation (§7.3); DESIGN.md §4 maps paper figure → bench target and
-//! EXPERIMENTS.md records paper-reported vs. measured values. This library holds the
-//! pieces the targets share: environment-variable configuration, the thread sweep
-//! and the series runner.
+//! the paper's evaluation (§7.3); each target's module docs name the figure it
+//! reproduces and the shape the paper reports. This library holds the pieces the
+//! targets share: environment-variable configuration, the thread sweep and the
+//! series runner.
 //!
 //! ## Environment knobs
 //!

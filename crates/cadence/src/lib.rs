@@ -11,8 +11,8 @@
 //!   (the *sleep interval*). In the paper a rooster process pinned to each core
 //!   forces a context switch, which drains the store buffer of whichever worker was
 //!   running there; in this reproduction the rooster wake-up issues a process-wide
-//!   asymmetric barrier (`membarrier(2)` where available — see
-//!   `reclaim_core::membarrier` and DESIGN.md §3 for the substitution argument).
+//!   asymmetric barrier (`membarrier(2)` where available — see the
+//!   `reclaim_core::membarrier` module docs for the substitution argument).
 //!   Either way, every hazard-pointer store issued before time `t` is globally
 //!   visible by `t + T`.
 //! * **Deferred reclamation**: every retired node is timestamped; a scan may only
@@ -28,7 +28,7 @@ mod rooster;
 mod scheme;
 
 pub use rooster::Rooster;
-pub use scheme::{Cadence, CadenceHandle};
+pub use scheme::{aged_scan, Cadence, CadenceHandle};
 
 #[cfg(test)]
 // Sanctioned raw-protocol site: these tests exercise the scheme's own
@@ -154,7 +154,14 @@ mod tests {
                 .with_rooster_threads(1)
                 .with_rooster_interval(Duration::from_millis(2)),
         );
-        std::thread::sleep(Duration::from_millis(40));
+        // Each wake-up issues a process-wide `membarrier`, whose latency
+        // (milliseconds on a loaded host) can exceed T; a fixed sleep would
+        // race it. Poll against a generous deadline instead: the assertion
+        // is that wake-ups keep coming, not how fast the barrier returns.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while scheme.rooster_wakeups() < 3 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
         assert!(
             scheme.rooster_wakeups() >= 3,
             "expected several rooster wake-ups, got {}",

@@ -3,12 +3,12 @@
 use crate::pin::PinRecord;
 use qsbr::GlobalEpoch;
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::{StatStripe, StatsSnapshot};
+use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetGovernor, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCache,
-    HandleTelemetry, ParkedChain, Registry, RetiredPtr, SegBag, SegPool, SlotId, Smr, SmrConfig,
-    SmrHandle, Telemetry, NO_BIRTH_ERA,
+    BudgetVerdict, CapacityExhausted, Era, HandleCore, Protocol, Registry, Rung, SchemeCore,
+    SegBag, SegPool, Smr, SmrConfig, SmrHandle, Telemetry,
 };
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,47 +46,24 @@ const LIMBO_BUCKETS: usize = SAFE_EPOCH_GAP as usize + 1;
 ///   scheme remains blocking in the sense that motivates the paper: it is a faster
 ///   point in the same robustness class as QSBR, not a replacement for the fallback
 ///   path.
+///
+/// Unlike QSBR, EBR *can* escalate a budget breach mid-operation —
+/// `try_advance` plus a bucket collect are safe at any point — but a thread
+/// stalled inside an operation still caps the epoch at `pin + 1`, so
+/// escalation helps against bursty load and is powerless against a mid-op
+/// stall (the verdict records which).
 pub struct Ebr {
-    config: SmrConfig,
+    core: SchemeCore<Registry<PinRecord>, ()>,
     global_epoch: GlobalEpoch,
-    registry: Registry<PinRecord>,
-    /// Counter stripe for events with no owning slot (successful epoch advances,
-    /// parked-bag frees at drop).
-    scheme_stats: CachePadded<StatStripe>,
-    /// Limbo leftovers of threads that deregistered before their nodes became
-    /// reclaimable: the next surviving handle to flush adopts the chain into its
-    /// current-epoch bucket, so the nodes are freed after an ordinary grace
-    /// period instead of waiting for scheme drop (see [`ParkedChain`]).
-    parked: ParkedChain,
-    /// Segment pools of exited threads, adopted by the next registrant so
-    /// handle churn is allocation-free after the first wave.
-    handle_cache: HandleCache<SegPool>,
-    /// Limbo-byte accounting and the budget escalation ladder. Unlike QSBR,
-    /// EBR *can* escalate mid-operation — `try_advance` plus a bucket collect
-    /// are safe at any point — but a thread stalled inside an operation still
-    /// caps the epoch at `pin + 1`, so escalation helps against bursty load
-    /// and is powerless against a mid-op stall (the verdict records which).
-    governor: BudgetGovernor,
-    /// Telemetry histograms (op latency, collect duration, retire→free delay).
-    telemetry: Arc<Telemetry>,
 }
 
 impl Ebr {
     /// Creates an EBR scheme with the given configuration.
     pub fn new(config: SmrConfig) -> Arc<Self> {
         let registry = Registry::new(config.max_threads, |_| PinRecord::new());
-        let handle_cache = HandleCache::with_capacity(config.max_threads);
-        let governor = BudgetGovernor::new(config.limbo_budget, config.clock.clone());
-        let telemetry = Arc::new(Telemetry::from_config(&config));
         Arc::new(Self {
-            config,
+            core: SchemeCore::new("ebr", config, registry),
             global_epoch: GlobalEpoch::new(),
-            registry,
-            scheme_stats: CachePadded::new(StatStripe::new()),
-            parked: ParkedChain::new(),
-            handle_cache,
-            governor,
-            telemetry,
         })
     }
 
@@ -97,7 +74,7 @@ impl Ebr {
 
     /// The configuration this scheme was created with.
     pub fn config(&self) -> &SmrConfig {
-        &self.config
+        &self.core.config
     }
 
     /// The current global epoch (exposed for tests and diagnostics).
@@ -111,14 +88,24 @@ impl Ebr {
     pub fn try_advance(&self) -> bool {
         let global = self.global_epoch.load();
         let all_caught_up = self
-            .registry
+            .core
+            .seats
             .iter_claimed()
             .all(|(_, record)| record.permits_advance_from(global));
         if all_caught_up && self.global_epoch.try_advance(global) {
-            self.scheme_stats.add_quiescent_state();
+            self.core.scheme_stats.add_quiescent_state();
             return true;
         }
         false
+    }
+}
+
+impl Protocol for Ebr {
+    type Seats = Registry<PinRecord>;
+    type Parts = ();
+
+    fn core(&self) -> &SchemeCore<Self::Seats, ()> {
+        &self.core
     }
 }
 
@@ -126,60 +113,34 @@ impl Smr for Ebr {
     type Handle = EbrHandle;
 
     fn try_register(self: &Arc<Self>) -> Result<EbrHandle, CapacityExhausted> {
-        let slot = self.registry.try_acquire().map_err(|e| CapacityExhausted {
-            scheme: "ebr",
-            capacity: e.capacity,
-        })?;
+        let (core, ()) = HandleCore::register(self, |_| (SegPool::new(), ()))?;
         // A fresh thread starts unpinned; an unpinned record never blocks advancement.
-        self.registry.get_mine(slot).unpin();
+        self.core.seats.get_mine(core.seat()).unpin();
         Ok(EbrHandle {
-            budget_stripe: BudgetGovernor::stripe_for(slot.shard()),
-            budget_reported: 0,
-            tele: HandleTelemetry::attach(&self.telemetry),
-            scheme: Arc::clone(self),
-            slot,
+            core,
             limbo: std::array::from_fn(|_| EpochChain {
                 epoch: 0,
                 bag: SegBag::new(),
             }),
-            // Adopt a previous tenant's segment pool when available
-            // (thread-pool churn; see `HandleCache`).
-            pool: self.handle_cache.adopt().unwrap_or_default(),
             pin_epoch: self.global_epoch.load(),
             pinned: false,
-            retires_since_advance: 0,
         })
     }
 
     fn name(&self) -> &'static str {
-        "ebr"
+        self.core.name()
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        self.registry.merge_stats(&mut snap);
-        self.scheme_stats.merge_into(&mut snap);
-        snap.peak_limbo_bytes = self.governor.peak_bytes();
-        snap
+        self.core.stats()
     }
 
     fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.governor.verdict())
+        self.core.budget_verdict()
     }
 
     fn telemetry(&self) -> Option<&Telemetry> {
-        Some(&self.telemetry)
-    }
-}
-
-impl Drop for Ebr {
-    fn drop(&mut self) {
-        // All handles are gone, so nobody can hold a reference to any parked node.
-        // SAFETY: parked nodes were retired by departed handles and survive until a scan proves them unprotected.
-        let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
-        self.scheme_stats.add_freed(freed as u64);
-        self.scheme_stats.add_freed_bytes(freed_bytes as u64);
-        self.governor.note_parked(-(freed_bytes as i64));
+        self.core.telemetry()
     }
 }
 
@@ -201,15 +162,11 @@ struct EpochChain {
 /// quadratic work, on top of one shared global-epoch load per retire. Nodes now
 /// land in one of [`LIMBO_BUCKETS`] per-epoch segment chains, tagged with the
 /// **pin-time** epoch the handle already holds, so `retire` touches no shared
-/// state at all and freeing is a whole-chain `reclaim_all` at segment
-/// granularity: each pin checks `LIMBO_BUCKETS` bucket tags, never individual
-/// nodes.
+/// state at all and freeing is a whole-chain drain at segment granularity:
+/// each pin checks `LIMBO_BUCKETS` bucket tags, never individual nodes.
 pub struct EbrHandle {
-    scheme: Arc<Ebr>,
-    slot: SlotId,
+    core: HandleCore<Ebr>,
     limbo: [EpochChain; LIMBO_BUCKETS],
-    /// Recycled segments shared by all limbo buckets.
-    pool: SegPool,
     /// The global epoch observed at the last pin. While pinned, `retire` tags
     /// nodes with this cached value instead of re-loading the (contended)
     /// global epoch: a pin at `pin_epoch` bounds the global at
@@ -223,18 +180,11 @@ pub struct EbrHandle {
     /// not use a stale cached tag — that would free nodes before a real grace
     /// period).
     pinned: bool,
-    retires_since_advance: usize,
-    /// This handle's stripe in the scheme's [`BudgetGovernor`].
-    budget_stripe: usize,
-    /// Local-bytes figure last pushed into the governor (delta-report cursor).
-    budget_reported: usize,
-    /// Telemetry recording cursor (stripe + op-sampling counter).
-    tele: HandleTelemetry,
 }
 
 impl EbrHandle {
     fn record(&self) -> &PinRecord {
-        self.scheme.registry.get_mine(self.slot)
+        self.core.scheme().core.seats.get_mine(self.core.seat())
     }
 
     /// Number of retired-but-unreclaimed nodes held by this thread.
@@ -247,39 +197,24 @@ impl EbrHandle {
         self.limbo.iter().map(|chain| chain.bag.bytes()).sum()
     }
 
-    fn stats(&self) -> &StatStripe {
-        self.scheme.registry.stats(self.slot)
-    }
-
     /// Frees every limbo bucket whose tag is at least [`SAFE_EPOCH_GAP`] behind
     /// `global`, wholesale. Returns the number of nodes freed. O([`LIMBO_BUCKETS`])
     /// bucket checks regardless of limbo size — this runs on every pin.
     fn collect(&mut self, global: u64) -> usize {
-        let mut freed = 0usize;
-        let mut freed_bytes = 0usize;
-        // Clone the Arc so the stats/observer borrows are independent of `self`
-        // (the drain below needs `&mut self.limbo` and `&mut self.pool`).
-        let scheme = Arc::clone(&self.scheme);
-        let stats = scheme.registry.stats(self.slot);
         // This path runs on every pin and usually frees nothing; only pay the
         // observer's clock reads when some bucket has actually matured.
         let any_matured = self
             .limbo
             .iter()
             .any(|chain| !chain.bag.is_empty() && global >= chain.epoch + SAFE_EPOCH_GAP);
-        let observer = if any_matured {
-            scheme.telemetry.scan_observer(self.tele.stripe())
-        } else {
-            None
-        };
+        let mut pass = self.core.pass(any_matured);
         for chain in &mut self.limbo {
             if chain.bag.is_empty() {
                 continue;
             }
             if global >= chain.epoch + SAFE_EPOCH_GAP {
                 // A matured bucket is freed wholesale — no per-node tests.
-                stats.add_scan_wholesale();
-                freed_bytes += chain.bag.bytes();
+                pass.stats().add_scan_wholesale();
                 // SAFETY: every node in this bucket was unlinked while its owner
                 // was pinned at `chain.epoch`, i.e. at a global epoch of at most
                 // `chain.epoch + 1`. Any thread still holding a reference has
@@ -291,31 +226,15 @@ impl EbrHandle {
                 // all references obtained before it (see [`SAFE_EPOCH_GAP`] for
                 // why 3 and not the retire-time-tag gap of 2). The nodes are
                 // unreachable.
-                freed += unsafe {
-                    match observer.as_ref() {
-                        Some(obs) => chain.bag.reclaim_if(&mut self.pool, |node| {
-                            obs.note_free(node);
-                            true
-                        }),
-                        None => chain.bag.reclaim_all(&mut self.pool),
-                    }
-                };
+                unsafe { pass.drain(&mut chain.bag) };
             } else {
                 // Non-empty but too young: the collect passes it over unexamined.
-                stats.add_scan_skip();
+                pass.stats().add_scan_skip();
             }
         }
-        if let Some(obs) = observer {
-            obs.finish();
-        }
+        let freed = pass.finish();
         if freed > 0 {
-            self.stats().add_freed(freed as u64);
-            self.stats().add_freed_bytes(freed_bytes as u64);
-            self.scheme.governor.report(
-                self.budget_stripe,
-                self.limbo_bytes(),
-                &mut self.budget_reported,
-            );
+            self.core.report(self.limbo_bytes());
         }
         freed
     }
@@ -333,25 +252,11 @@ impl EbrHandle {
                 // global epoch has reached at least `epoch` (the owner observed
                 // it) — hence reclaimable wholesale (same argument as `collect`).
                 debug_assert!(epoch >= chain.epoch + LIMBO_BUCKETS as u64);
-                let freed_bytes = chain.bag.bytes();
-                let stats = self.scheme.registry.stats(self.slot);
-                stats.add_scan_wholesale();
-                let observer = self.scheme.telemetry.scan_observer(self.tele.stripe());
+                let mut pass = self.core.pass(true);
+                pass.stats().add_scan_wholesale();
                 // SAFETY: the chain is LIMBO_BUCKETS epochs old — every registered thread has crossed at least two epoch boundaries since these nodes were retired, so none can still hold a reference.
-                let freed = unsafe {
-                    match observer.as_ref() {
-                        Some(obs) => chain.bag.reclaim_if(&mut self.pool, |node| {
-                            obs.note_free(node);
-                            true
-                        }),
-                        None => chain.bag.reclaim_all(&mut self.pool),
-                    }
-                };
-                if let Some(obs) = observer {
-                    obs.finish();
-                }
-                stats.add_freed(freed as u64);
-                stats.add_freed_bytes(freed_bytes as u64);
+                unsafe { pass.drain(&mut chain.bag) };
+                pass.finish();
             }
             chain.epoch = epoch;
         }
@@ -364,7 +269,7 @@ impl SmrHandle for EbrHandle {
         // Pin: observe the global epoch and announce it together with the active
         // flag. This store-per-operation is EBR's hot-path cost; the loaded epoch
         // is cached so `retire` never touches the shared counter.
-        let global = self.scheme.global_epoch.load();
+        let global = self.core.scheme().global_epoch.load();
         self.record().pin(global);
         self.pin_epoch = global;
         self.pinned = true;
@@ -386,24 +291,7 @@ impl SmrHandle for EbrHandle {
 
     fn clear_protections(&mut self) {}
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn) {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire_sized(ptr, drop_fn, NO_BIRTH_ERA, 0) }
-    }
-
-    unsafe fn retire_sized(
-        &mut self,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        _birth_era: Era,
-        size_bytes: usize,
-    ) {
-        self.stats().add_retired(1);
-        self.stats().add_retired_bytes(size_bytes as u64);
-        if size_bytes == 0 {
-            self.stats().add_size_unknown_retire();
-        }
-        let now = self.scheme.config.clock.now();
+    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size: NonZeroUsize) {
         // While pinned (the normal case — retires happen inside operations),
         // tag with the cached pin-time epoch: the pin bounds the global at
         // `pin_epoch + 1`, which is exactly why [`SAFE_EPOCH_GAP`] is 3 rather
@@ -417,42 +305,32 @@ impl SmrHandle for EbrHandle {
         // retires therefore pay the fresh global load: any reader still
         // holding a reference was pinned before the (earlier) unlink, so its
         // pin epoch is at most the loaded value and the same gap covers it.
+        // SAFETY: forwarded from the caller's contract.
+        let node = unsafe {
+            self.core
+                .stamp(self.core.now(), ptr, drop_fn, birth_era, size)
+        };
         let epoch = if self.pinned {
             self.pin_epoch
         } else {
-            self.scheme.global_epoch.load()
+            self.core.scheme().global_epoch.load()
         };
-        // SAFETY: forwarded from the caller's contract.
-        let mut node =
-            unsafe { RetiredPtr::with_birth_sized(ptr, drop_fn, now, NO_BIRTH_ERA, size_bytes) };
-        node.set_retire_tick(self.tele.retire_tick());
         let b = self.bucket_for(epoch);
-        self.limbo[b].bag.push(&mut self.pool, node);
-        self.retires_since_advance += 1;
-        if self.retires_since_advance >= self.scheme.config.scan_threshold {
-            self.retires_since_advance = 0;
-            self.scheme.try_advance();
-        } else if self.scheme.governor.observe(
-            self.budget_stripe,
-            self.limbo_bytes(),
-            &mut self.budget_reported,
-        ) {
+        self.limbo[b].bag.push(&mut self.core.pool, node);
+        match self.core.rung(self.limbo_bytes()) {
+            Rung::Idle => {}
+            // EBR's "scan" is an epoch-advance attempt; the next pin collects.
+            Rung::Scan => {
+                self.core.scheme().try_advance();
+            }
             // Budget breach: push the epoch forward and collect what aged out
-            // (rung 1 — both are safe mid-operation). If a mid-op stall
-            // elsewhere keeps the epoch capped and us over budget, take one
-            // bounded backpressure yield (rung 3).
-            self.scheme.governor.count_forced_scan();
-            self.retires_since_advance = 0;
-            self.scheme.try_advance();
-            let global = self.scheme.global_epoch.load();
-            self.collect(global);
-            if self.scheme.governor.report(
-                self.budget_stripe,
-                self.limbo_bytes(),
-                &mut self.budget_reported,
-            ) {
-                self.scheme.governor.count_backpressure();
-                std::thread::yield_now();
+            // (both are safe mid-operation). If a mid-op stall elsewhere keeps
+            // the epoch capped and us over budget, back off.
+            Rung::Forced => {
+                self.core.scheme().try_advance();
+                self.collect(self.core.scheme().global_epoch.load());
+                let over = self.core.report(self.limbo_bytes());
+                self.core.backpressure(over);
             }
         }
     }
@@ -462,12 +340,8 @@ impl SmrHandle for EbrHandle {
         // they were unlinked before this adoption, so any reader still holding a
         // reference pinned at an epoch <= global + 1, and the bucket's
         // `SAFE_EPOCH_GAP` wait covers it. O(1) splices, no allocation.
-        let global = self.scheme.global_epoch.load();
-        let b = self.bucket_for(global);
-        let before = self.limbo[b].bag.bytes();
-        self.scheme.parked.adopt_into(&mut self.limbo[b].bag);
-        let adopted = self.limbo[b].bag.bytes() - before;
-        self.scheme.governor.note_parked(-(adopted as i64));
+        let b = self.bucket_for(self.core.scheme().global_epoch.load());
+        self.limbo[b].bag.splice(&mut self.core.adopt_parked());
         // Make a best-effort attempt to push the epoch far enough forward that every
         // limbo node becomes reclaimable, then free whatever the advances allowed.
         // The thread must not be pinned while doing this (flush is called between
@@ -475,15 +349,10 @@ impl SmrHandle for EbrHandle {
         self.record().unpin();
         self.pinned = false;
         for _ in 0..2 * SAFE_EPOCH_GAP {
-            self.scheme.try_advance();
+            self.core.scheme().try_advance();
         }
-        let global = self.scheme.global_epoch.load();
-        self.collect(global);
-        self.scheme.governor.report(
-            self.budget_stripe,
-            self.limbo_bytes(),
-            &mut self.budget_reported,
-        );
+        self.collect(self.core.scheme().global_epoch.load());
+        self.core.report(self.limbo_bytes());
     }
 
     fn local_in_limbo(&self) -> usize {
@@ -495,37 +364,25 @@ impl SmrHandle for EbrHandle {
     }
 
     fn telemetry_op_begin(&mut self) -> Option<Instant> {
-        self.tele.op_begin()
+        self.core.tele.op_begin()
     }
 
     fn telemetry_op_end(&mut self, started: Instant) {
-        self.tele.op_end(started);
+        self.core.tele.op_end(started);
     }
 }
 
 impl Drop for EbrHandle {
     fn drop(&mut self) {
+        // Whatever is still too young after a final flush goes to the kernel's
+        // exit (adopted by the next flushing handle, or released when the
+        // scheme itself drops; no thread can touch the nodes by then).
         self.flush();
-        // Whatever is still too young is parked on the scheme with O(1) splices
-        // and adopted by the next flushing handle (or released when the scheme
-        // itself drops; no thread can touch the nodes by then).
         let mut leftovers = SegBag::new();
         for chain in &mut self.limbo {
             leftovers.splice(&mut chain.bag);
         }
-        // The governor's parked counter takes over the byte accounting so a
-        // leaked handle's limbo never goes invisible.
-        let parked_bytes = leftovers.bytes();
-        self.scheme
-            .governor
-            .note_handle_exit(self.budget_stripe, &mut self.budget_reported);
-        self.scheme.governor.note_parked(parked_bytes as i64);
-        self.scheme.parked.park(&mut leftovers);
-        self.scheme.registry.release(self.slot);
-        // Recycle the segment pool to the next registrant.
-        self.scheme
-            .handle_cache
-            .park(std::mem::take(&mut self.pool));
+        self.core.exit(&mut leftovers, ());
     }
 }
 

@@ -1,87 +1,33 @@
 //! The hazard-pointer scheme object and per-thread handle.
 
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::{StatStripe, StatsSnapshot};
+use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetGovernor, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCache,
-    HandleTelemetry, ParkedChain, PtrScratch, Registry, RetiredPtr, ScanParts, SegBag, SegPool,
-    SlotId, Smr, SmrConfig, SmrHandle, Telemetry, NO_BIRTH_ERA,
+    BudgetVerdict, CapacityExhausted, Era, HandleCore, HazardRecord, Protocol, PtrScratch,
+    Registry, Rung, SchemeCore, SegBag, Smr, SmrConfig, SmrHandle, Telemetry,
 };
-use std::sync::atomic::{fence, AtomicPtr, Ordering};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-thread shared record: `K` single-writer multi-reader hazard-pointer slots.
-pub(crate) struct HpRecord {
-    slots: Box<[AtomicPtr<u8>]>,
-}
-
-impl HpRecord {
-    fn new(k: usize) -> Self {
-        Self {
-            slots: (0..k)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn set(&self, index: usize, ptr: *mut u8) {
-        self.slots[index].store(ptr, Ordering::Release);
-    }
-
-    fn clear_all(&self) {
-        for slot in self.slots.iter() {
-            slot.store(std::ptr::null_mut(), Ordering::Release);
-        }
-    }
-
-    fn collect_into(&self, out: &mut Vec<*mut u8>) {
-        for slot in self.slots.iter() {
-            let p = slot.load(Ordering::Acquire);
-            if !p.is_null() {
-                out.push(p);
-            }
-        }
-    }
-}
-
 /// Classic hazard-pointer scheme (the paper's **HP** baseline).
+///
+/// Every thread owns a `K`-slot [`HazardRecord`] in the kernel's registry.
+/// HP scans are hazard-gated and therefore safe at any point of the retire
+/// path, so a budget breach forces an immediate scan.
 pub struct Hazard {
-    config: SmrConfig,
-    registry: Registry<HpRecord>,
-    /// Counter stripe for events with no owning slot (parked-bag frees at drop).
-    scheme_stats: CachePadded<StatStripe>,
-    /// Retired nodes left over by exiting threads that were still protected at
-    /// exit: dying handles park, the next surviving handle to flush adopts, and
-    /// scheme drop drains the remainder (see [`ParkedChain`]).
-    parked: ParkedChain,
-    /// Pools + scratch buffers of exited threads, adopted by the next
-    /// registrant so handle churn is allocation-free after the first wave.
-    handle_cache: HandleCache<ScanParts>,
-    /// Limbo-byte accounting and (when `config.limbo_budget` is set) the
-    /// escalation ladder: HP scans are hazard-gated and therefore safe at any
-    /// point of the retire path, so a breach forces an immediate scan.
-    governor: BudgetGovernor,
-    /// Telemetry histograms (op latency, scan duration, retire→free delay).
-    telemetry: Arc<Telemetry>,
+    core: SchemeCore<Registry<HazardRecord>, PtrScratch>,
 }
 
 impl Hazard {
     /// Creates a hazard-pointer scheme with the given configuration.
     pub fn new(config: SmrConfig) -> Arc<Self> {
-        let registry = Registry::new(config.max_threads, |_| HpRecord::new(config.hp_per_thread));
-        let handle_cache = HandleCache::with_capacity(config.max_threads);
-        let governor = BudgetGovernor::new(config.limbo_budget, config.clock.clone());
-        let telemetry = Arc::new(Telemetry::from_config(&config));
+        let registry = Registry::new(config.max_threads, |_| {
+            HazardRecord::new(config.hp_per_thread)
+        });
         Arc::new(Self {
-            config,
-            registry,
-            scheme_stats: CachePadded::new(StatStripe::new()),
-            parked: ParkedChain::new(),
-            handle_cache,
-            governor,
-            telemetry,
+            core: SchemeCore::new("hp", config, registry),
         })
     }
 
@@ -92,7 +38,7 @@ impl Hazard {
 
     /// The configuration this scheme was created with.
     pub fn config(&self) -> &SmrConfig {
-        &self.config
+        &self.core.config
     }
 
     /// Snapshots every currently published hazard pointer into `out` — the
@@ -100,58 +46,18 @@ impl Hazard {
     /// stage 1. Callers pass a reusable scratch buffer sized at registration
     /// (`N·K` entries, the maximum possible), so steady-state scans never allocate.
     fn collect_protected(&self, out: &mut Vec<*mut u8>) {
-        self.registry.collect_protected(out, HpRecord::collect_into);
+        self.core
+            .seats
+            .collect_protected(out, HazardRecord::collect_into);
     }
+}
 
-    /// Scans `bag` against the hazard pointers gathered into `scratch`, freeing
-    /// every node not covered. Returns the number of nodes freed. The counters go
-    /// to `stats` (the calling handle's stripe); drained segments return to `pool`.
-    fn scan_into(
-        &self,
-        bag: &mut SegBag,
-        pool: &mut SegPool,
-        scratch: &mut Vec<*mut u8>,
-        stats: &StatStripe,
-        tele_stripe: usize,
-    ) -> usize {
-        stats.add_scan();
-        // Every HP scan is a per-node walk against the hazard snapshot.
-        stats.add_scan_walk();
-        self.collect_protected(scratch);
-        let protected: &[*mut u8] = scratch;
-        let bytes_before = bag.bytes();
-        let observer = self.telemetry.scan_observer(tele_stripe);
-        // SAFETY: a node absent from the full hazard-pointer snapshot and already
-        // unlinked (guaranteed by the retire contract) is unreachable by any thread:
-        // Michael's scan argument. The snapshot is taken *after* the node was
-        // retired, so any hazard pointer published before the node became unreachable
-        // is visible to this scan (the publisher's fence in `protect` pairs with the
-        // acquire loads in `collect_protected`).
-        let freed = unsafe {
-            bag.reclaim_if(pool, |node| {
-                let free = protected.binary_search(&node.addr()).is_err();
-                if free {
-                    if let Some(obs) = observer.as_ref() {
-                        obs.note_free(node);
-                    }
-                }
-                free
-            })
-        };
-        stats.add_freed(freed as u64);
-        stats.add_freed_bytes((bytes_before - bag.bytes()) as u64);
-        if let Some(obs) = observer {
-            obs.finish();
-        }
-        freed
-    }
+impl Protocol for Hazard {
+    type Seats = Registry<HazardRecord>;
+    type Parts = PtrScratch;
 
-    /// One-off allocating snapshot, for tests and diagnostics only.
-    #[cfg(test)]
-    fn protected_snapshot(&self) -> Vec<*mut u8> {
-        let mut out = Vec::new();
-        self.collect_protected(&mut out);
-        out
+    fn core(&self) -> &SchemeCore<Self::Seats, PtrScratch> {
+        &self.core
     }
 }
 
@@ -159,118 +65,79 @@ impl Smr for Hazard {
     type Handle = HazardHandle;
 
     fn try_register(self: &Arc<Self>) -> Result<HazardHandle, CapacityExhausted> {
-        let slot = self.registry.try_acquire().map_err(|e| CapacityExhausted {
-            scheme: "hp",
-            capacity: e.capacity,
-        })?;
-        // Adopt a previous tenant's pool + scratch when available (thread-pool
-        // churn); otherwise pre-warm for the scan threshold (capped: a
-        // test-sized huge `R` must not balloon registration) so even the first
-        // bag fill recycles instead of allocating.
-        let parts = self.handle_cache.adopt().unwrap_or_else(|| ScanParts {
-            pool: SegPool::with_node_capacity((self.config.scan_threshold + 1).min(2048)),
-            scratch: PtrScratch::with_capacity(self.config.max_threads * self.config.hp_per_thread),
-        });
+        let (core, scratch) = HandleCore::register(self, HazardRecord::scan_parts)?;
         Ok(HazardHandle {
-            budget_stripe: BudgetGovernor::stripe_for(slot.shard()),
-            budget_reported: 0,
-            tele: HandleTelemetry::attach(&self.telemetry),
-            scheme: Arc::clone(self),
-            slot,
+            core,
             retired: SegBag::new(),
-            pool: parts.pool,
-            scratch: parts.scratch,
-            since_last_scan: 0,
+            scratch,
             local_fences: 0,
         })
     }
 
     fn name(&self) -> &'static str {
-        "hp"
+        self.core.name()
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        self.registry.merge_stats(&mut snap);
-        self.scheme_stats.merge_into(&mut snap);
-        snap.peak_limbo_bytes = self.governor.peak_bytes();
-        snap
+        self.core.stats()
     }
 
     fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.governor.verdict())
+        self.core.budget_verdict()
     }
 
     fn telemetry(&self) -> Option<&Telemetry> {
-        Some(&self.telemetry)
-    }
-}
-
-impl Drop for Hazard {
-    fn drop(&mut self) {
-        // No handles remain (each holds an Arc<Self>), hence no hazard pointer can be
-        // published and no thread can reach a parked node: free everything.
-        // SAFETY: parked nodes were retired by departed handles and survive until a scan proves them unprotected.
-        let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
-        self.scheme_stats.add_freed(freed as u64);
-        self.scheme_stats.add_freed_bytes(freed_bytes as u64);
-        self.governor.note_parked(-(freed_bytes as i64));
+        self.core.telemetry()
     }
 }
 
 /// Per-thread handle for [`Hazard`].
 pub struct HazardHandle {
-    scheme: Arc<Hazard>,
-    slot: SlotId,
+    core: HandleCore<Hazard>,
     retired: SegBag,
-    /// Recycled segments backing `retired`, pre-warmed for the scan threshold so
-    /// even the first bag fill never allocates.
-    pool: SegPool,
     /// Reusable buffer for hazard-pointer snapshots, sized for the worst case
     /// (`N·K` pointers) at registration so scans are allocation-free.
     scratch: PtrScratch,
-    since_last_scan: usize,
     /// Traversal fences issued by this thread since the last flush to shared stats
     /// (kept local so the hot path does not add an extra shared atomic per node).
     local_fences: u64,
-    /// This handle's stripe in the scheme's [`BudgetGovernor`].
-    budget_stripe: usize,
-    /// Local-bytes figure last pushed into the governor (delta-report cursor).
-    budget_reported: usize,
-    /// Telemetry recording cursor (stripe + op-sampling counter).
-    tele: HandleTelemetry,
 }
 
 impl HazardHandle {
-    fn record(&self) -> &HpRecord {
-        self.scheme.registry.get_mine(self.slot)
+    fn record(&self) -> &HazardRecord {
+        self.core.scheme().core.seats.get_mine(self.core.seat())
     }
 
-    fn stats(&self) -> &StatStripe {
-        self.scheme.registry.stats(self.slot)
-    }
-
-    /// Scans and then re-reports the post-scan byte total, so the governor's
-    /// estimate credits what the scan just freed. Returns whether the scheme
-    /// is still over budget afterwards.
+    /// Michael's scan: snapshot every hazard pointer, then free each retired
+    /// node absent from the snapshot. Returns whether the scheme is still over
+    /// budget afterwards.
     fn scan(&mut self) -> bool {
-        self.scheme.scan_into(
-            &mut self.retired,
-            &mut self.pool,
-            &mut self.scratch,
-            self.scheme.registry.stats(self.slot),
-            self.tele.stripe(),
-        );
-        self.scheme.governor.report(
-            self.budget_stripe,
-            self.retired.bytes(),
-            &mut self.budget_reported,
-        )
+        let mut pass = self.core.pass(true);
+        pass.stats().add_scan();
+        // Every HP scan is a per-node walk against the hazard snapshot.
+        pass.stats().add_scan_walk();
+        pass.scheme.collect_protected(&mut self.scratch);
+        let protected: &[*mut u8] = &self.scratch;
+        // SAFETY: a node absent from the full hazard-pointer snapshot and already
+        // unlinked (guaranteed by the retire contract) is unreachable by any thread:
+        // Michael's scan argument. The snapshot is taken *after* the node was
+        // retired, so any hazard pointer published before the node became unreachable
+        // is visible to this scan (the publisher's fence in `protect` pairs with the
+        // acquire loads in `collect_protected`).
+        unsafe {
+            pass.reclaim(
+                &mut self.retired,
+                |_| true,
+                |node| protected.binary_search(&node.addr()).is_err(),
+            )
+        };
+        pass.finish();
+        self.core.report(self.retired.bytes())
     }
 
     fn publish_fence_count(&mut self) {
         if self.local_fences > 0 {
-            self.stats().add_traversal_fences(self.local_fences);
+            self.core.stats().add_traversal_fences(self.local_fences);
             self.local_fences = 0;
         }
     }
@@ -287,11 +154,6 @@ impl SmrHandle for HazardHandle {
 
     #[inline]
     fn protect(&mut self, index: usize, ptr: *mut u8) {
-        assert!(
-            index < self.scheme.config.hp_per_thread,
-            "hazard-pointer index {index} out of range (K = {})",
-            self.scheme.config.hp_per_thread
-        );
         self.record().set(index, ptr);
         // The paper's Algorithm 1, line 3: the store above must become visible before
         // the caller's validation load, otherwise the interleaving of Algorithm 2
@@ -305,62 +167,32 @@ impl SmrHandle for HazardHandle {
         self.record().clear_all();
     }
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn) {
+    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size: NonZeroUsize) {
         // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire_sized(ptr, drop_fn, NO_BIRTH_ERA, 0) }
-    }
-
-    unsafe fn retire_sized(
-        &mut self,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        _birth_era: Era,
-        size_bytes: usize,
-    ) {
-        let stats = self.stats();
-        stats.add_retired(1);
-        stats.add_retired_bytes(size_bytes as u64);
-        if size_bytes == 0 {
-            stats.add_size_unknown_retire();
-        }
-        let now = self.scheme.config.clock.now();
-        // SAFETY: forwarded from the caller's contract.
-        let mut node =
-            unsafe { RetiredPtr::with_birth_sized(ptr, drop_fn, now, NO_BIRTH_ERA, size_bytes) };
-        node.set_retire_tick(self.tele.retire_tick());
-        self.retired.push(&mut self.pool, node);
-        self.since_last_scan += 1;
-        if self.since_last_scan >= self.scheme.config.scan_threshold {
-            self.since_last_scan = 0;
-            self.scan();
-        } else if self.scheme.governor.observe(
-            self.budget_stripe,
-            self.retired.bytes(),
-            &mut self.budget_reported,
-        ) {
-            // Budget breach: force a scan ahead of the count threshold (rung 1);
-            // if hazard pointers still pin us over budget, take one bounded
-            // backpressure yield (rung 3) so stalled readers get CPU time to
-            // move on instead of this thread piling garbage ever faster.
-            self.scheme.governor.count_forced_scan();
-            self.since_last_scan = 0;
-            if self.scan() {
-                self.scheme.governor.count_backpressure();
-                std::thread::yield_now();
+        let node = unsafe {
+            self.core
+                .stamp(self.core.now(), ptr, drop_fn, birth_era, size)
+        };
+        self.retired.push(&mut self.core.pool, node);
+        match self.core.rung(self.retired.bytes()) {
+            Rung::Idle => {}
+            Rung::Scan => {
+                self.scan();
+            }
+            // Budget breach: if hazard pointers still pin us over budget after
+            // the forced scan, back off so stalled readers can move on.
+            Rung::Forced => {
+                let over = self.scan();
+                self.core.backpressure(over);
             }
         }
     }
 
     fn flush(&mut self) {
         self.publish_fence_count();
-        // Adopt leftovers of exited threads so they rejoin the scan cycle. The
-        // adopted bytes move from the governor's parked counter to this
-        // handle's stripe (the post-scan report picks them up).
-        let before = self.retired.bytes();
-        self.scheme.parked.adopt_into(&mut self.retired);
-        let adopted = self.retired.bytes() - before;
-        self.scheme.governor.note_parked(-(adopted as i64));
-        self.since_last_scan = 0;
+        // Adopt leftovers of exited threads so they rejoin the scan cycle.
+        self.retired.splice(&mut self.core.adopt_parked());
+        self.core.reset_scan_count();
         self.scan();
     }
 
@@ -373,11 +205,11 @@ impl SmrHandle for HazardHandle {
     }
 
     fn telemetry_op_begin(&mut self) -> Option<Instant> {
-        self.tele.op_begin()
+        self.core.tele.op_begin()
     }
 
     fn telemetry_op_end(&mut self, started: Instant) {
-        self.tele.op_end(started);
+        self.core.tele.op_end(started);
     }
 }
 
@@ -386,46 +218,17 @@ impl Drop for HazardHandle {
         self.publish_fence_count();
         // This thread is done traversing: its own protections can go away.
         self.record().clear_all();
-        // Last chance to free what other threads no longer protect.
+        // Last chance to free what other threads no longer protect; whatever
+        // they still protect is parked by the kernel's exit.
         self.scan();
-        // Whatever is still protected by *other* threads is parked on the scheme
-        // (an O(1) chain splice) and either adopted by the next handle to flush or
-        // released when the scheme itself is dropped. The governor's parked
-        // counter takes over the byte accounting so a leaked handle's limbo
-        // never goes invisible.
-        let parked_bytes = self.retired.bytes();
-        self.scheme
-            .governor
-            .note_handle_exit(self.budget_stripe, &mut self.budget_reported);
-        self.scheme.governor.note_parked(parked_bytes as i64);
-        self.scheme.parked.park(&mut self.retired);
-        self.scheme.registry.release(self.slot);
-        // Recycle the workspace to the next registrant: after the first wave of
-        // handles, registration allocates nothing.
-        self.scheme.handle_cache.park(ScanParts {
-            pool: std::mem::take(&mut self.pool),
-            scratch: std::mem::take(&mut self.scratch),
-        });
+        let scratch = std::mem::take(&mut self.scratch);
+        self.core.exit(&mut self.retired, scratch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hp_record_set_clear_collect() {
-        let record = HpRecord::new(3);
-        record.set(0, 0x10 as *mut u8);
-        record.set(2, 0x30 as *mut u8);
-        let mut out = Vec::new();
-        record.collect_into(&mut out);
-        assert_eq!(out.len(), 2);
-        record.clear_all();
-        out.clear();
-        record.collect_into(&mut out);
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn protected_snapshot_is_sorted_and_deduplicated() {
@@ -439,7 +242,8 @@ mod tests {
         h1.record().set(0, 0x300 as *mut u8);
         h1.record().set(1, 0x100 as *mut u8);
         h2.record().set(0, 0x300 as *mut u8);
-        let snapshot = scheme.protected_snapshot();
+        let mut snapshot = Vec::new();
+        scheme.collect_protected(&mut snapshot);
         assert_eq!(snapshot, vec![0x100 as *mut u8, 0x300 as *mut u8]);
         drop(h1);
         drop(h2);

@@ -33,7 +33,8 @@
 //! chains of tagged edges; this implementation sidesteps chains by restarting
 //! traversals at dirty edges (writers help first), which keeps reclamation exact in
 //! all tested scenarios at the cost of the pure reader occasionally retrying while a
-//! cleanup is in flight (a progress, never a safety, concern — see DESIGN.md).
+//! cleanup is in flight (a progress, never a safety, concern — see the linking
+//! safety argument in the `reclaim-core` crate docs).
 
 use crate::keyspace::KeySlot;
 use rand as _; // keep the workspace dependency graph uniform; randomness is not needed here
@@ -407,8 +408,9 @@ where
             // subtrees up), and the seek's protection slots keep `parent` and
             // `leaf` from being freed and re-allocated under us. So clean-edge
             // equality is equivalent to "nothing happened since validation".
-            // The forced schedules in `tests/interleaving_harness.rs` pin both
-            // the leaf-removal and the sibling-removal (parent splice) cases.
+            // The replayed schedules in `tests/interleaving_harness.rs` pin
+            // both the leaf-removal and the sibling-removal (parent splice)
+            // cases.
             // SAFETY: `record.parent` protected by the seek.
             let edge = unsafe { Self::child_edge(record.parent, &key) };
             match edge.compare_exchange(leaf, new_internal, Ordering::AcqRel, Ordering::Acquire) {

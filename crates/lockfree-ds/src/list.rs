@@ -192,7 +192,7 @@ where
             // removing `prev` marks `prev`'s outgoing link — and every
             // successful CAS bumps the link version, so even a pointer that
             // ABA'd back fails the stale CAS. Slot HP_CURR keeps `curr` from
-            // being freed and re-allocated under us. The forced schedules in
+            // being freed and re-allocated under us. The replayed schedules in
             // `tests/interleaving_harness.rs` pin both neighbour removals.
             match s.prev.cas_link(s.curr, node) {
                 Ok(_) => return true,

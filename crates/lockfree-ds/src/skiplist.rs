@@ -51,8 +51,8 @@
 //!
 //! The full interleaving argument lives in `reclaim-core`'s crate docs
 //! ("Skip-list linking safety argument"); the deterministic regression schedule
-//! lives in `tests/interleaving_harness.rs`, driven through this file's
-//! [`interleave`](crate::interleave) pause points.
+//! is replayed by `tests/interleaving_harness.rs` at the workspace root,
+//! driven through this file's `interleave` pause points.
 //!
 //! ## Hazard-pointer budget
 //!

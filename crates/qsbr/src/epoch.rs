@@ -24,7 +24,7 @@
 //! No decision here ever needs a *total* order across unrelated variables, which is
 //! the only thing `SeqCst` would add.
 
-use reclaim_core::CachePadded;
+use reclaim_core::{CachePadded, HandleCore, Protocol, Registry, SegBag};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of limbo lists per thread (and of logical epochs), as in the paper.
@@ -240,6 +240,57 @@ impl EpochCursor {
         }
         false
     }
+}
+
+impl EpochCursor {
+    /// One cooperative confirmation step for `epoch` over `registry`, advancing
+    /// `global` once the pass completes: wholly-vacant shards are jumped on one
+    /// bitmap load each, unclaimed slots are vacant, and a claimed slot counts
+    /// as confirmed when `confirmed(index, record)` says so (QSBR: the record
+    /// is at `epoch`; QSense additionally excuses evicted threads).
+    pub fn confirm<R>(
+        &self,
+        global: &GlobalEpoch,
+        registry: &Registry<R>,
+        epoch: u64,
+        confirmed: impl Fn(usize, &R) -> bool,
+    ) {
+        let done = self.poll(epoch, registry.capacity(), |i| {
+            let next = registry.skip_vacant_shards(i);
+            if next > i {
+                CursorCheck::VacantRun(next)
+            } else if !registry.is_claimed(i) {
+                CursorCheck::Vacant
+            } else if confirmed(i, registry.get(i)) {
+                CursorCheck::Confirmed
+            } else {
+                CursorCheck::Lagging
+            }
+        });
+        if done {
+            global.try_advance(epoch);
+        }
+    }
+}
+
+/// QSBR's grace drain of one limbo bucket at epoch adoption: a whole bucket
+/// is freed without per-node tests (counted as a wholesale dispatch), and an
+/// empty one is passed over (a skip) without a telemetry observer.
+///
+/// # Safety
+///
+/// A full grace period must have elapsed since every node in `bucket` was
+/// retired (the paper's Lemma 3), so no thread can still reference them.
+pub unsafe fn grace_drain<K: Protocol>(core: &mut HandleCore<K>, bucket: &mut SegBag) {
+    if bucket.is_empty() {
+        core.stats().add_scan_skip();
+        return;
+    }
+    let mut pass = core.pass(true);
+    pass.stats().add_scan_wholesale();
+    // SAFETY: forwarded from the caller's contract.
+    unsafe { pass.drain(bucket) };
+    pass.finish();
 }
 
 #[cfg(test)]

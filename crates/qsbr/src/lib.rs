@@ -21,7 +21,9 @@
 mod epoch;
 mod scheme;
 
-pub use epoch::{limbo_index, CursorCheck, EpochCursor, EpochRecord, GlobalEpoch, EPOCH_BUCKETS};
+pub use epoch::{
+    grace_drain, limbo_index, CursorCheck, EpochCursor, EpochRecord, GlobalEpoch, EPOCH_BUCKETS,
+};
 pub use scheme::{Qsbr, QsbrHandle};
 
 #[cfg(test)]

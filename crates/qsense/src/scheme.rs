@@ -1,16 +1,17 @@
 //! The QSense scheme object and per-thread handle (paper Algorithm 5).
 
 use crate::path::{FallbackFlag, Path, PresenceFlag};
-use cadence::Rooster;
-use qsbr::{limbo_index, CursorCheck, EpochCursor, EpochRecord, GlobalEpoch, EPOCH_BUCKETS};
+use cadence::{aged_scan, Rooster};
+use qsbr::{grace_drain, limbo_index, EpochCursor, EpochRecord, GlobalEpoch, EPOCH_BUCKETS};
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::{StatStripe, StatsSnapshot};
+use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    membarrier, BudgetGovernor, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCache,
-    HandleTelemetry, ParkedChain, PtrScratch, Registry, RetiredPtr, ScanParts, SegBag, SegPool,
-    SlotId, Smr, SmrConfig, SmrHandle, Telemetry, NO_BIRTH_ERA,
+    membarrier, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCore, HazardRecord,
+    Protocol, PtrScratch, Registry, SchemeCore, SegBag, SegPool, Smr, SmrConfig, SmrHandle,
+    Telemetry,
 };
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -21,8 +22,8 @@ use std::time::Instant;
 /// so that a switch to the fallback path finds every hazardous reference protected,
 /// and the epoch record is maintained even on the fallback path so that switching
 /// back to QSBR is immediate.
-pub(crate) struct QsenseRecord {
-    hps: Box<[AtomicPtr<u8>]>,
+pub struct QsenseRecord {
+    hps: HazardRecord,
     epoch: EpochRecord,
     presence: PresenceFlag,
     /// Timestamp (scheme clock) of the owner's last sign of activity; drives the
@@ -46,9 +47,7 @@ pub(crate) struct QsenseRecord {
 impl QsenseRecord {
     fn new(k: usize) -> Self {
         Self {
-            hps: (0..k)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
+            hps: HazardRecord::new(k),
             epoch: EpochRecord::new(),
             presence: PresenceFlag::new(),
             last_active: AtomicU64::new(0),
@@ -89,34 +88,18 @@ impl QsenseRecord {
     fn is_evicted(&self, gen: u64) -> bool {
         self.evicted.load(Ordering::Acquire) == gen
     }
-
-    /// Fence-free hazard-pointer publication, exactly as in Cadence.
-    #[inline]
-    fn set_hp(&self, index: usize, ptr: *mut u8) {
-        self.hps[index].store(ptr, Ordering::Release);
-        membarrier::light_barrier();
-    }
-
-    fn clear_hps(&self) {
-        for slot in self.hps.iter() {
-            slot.store(std::ptr::null_mut(), Ordering::Release);
-        }
-    }
-
-    fn collect_hps_into(&self, out: &mut Vec<*mut u8>) {
-        for slot in self.hps.iter() {
-            let p = slot.load(Ordering::Acquire);
-            if !p.is_null() {
-                out.push(p);
-            }
-        }
-    }
 }
 
 /// The QSense hybrid reclamation scheme (the paper's primary contribution).
+///
+/// QSense owns the strongest budget lever of any scheme here: when limbo
+/// bytes cross the budget on the fast path, the retiring handle trips the
+/// hybrid's own fallback switch early — QSBR-style grace periods are exactly
+/// what a stalled thread stalls, and the Cadence scan the fallback path runs
+/// needs no cooperation. Parked leftovers of exited handles are adopted into
+/// the adopter's current limbo bucket.
 pub struct QSense {
-    config: SmrConfig,
-    registry: Registry<QsenseRecord>,
+    core: SchemeCore<Registry<QsenseRecord>, PtrScratch>,
     global_epoch: GlobalEpoch,
     /// Cooperative epoch-confirmation state (see [`EpochCursor`]): quiescent states
     /// contribute bounded slices of the "everyone at the epoch?" check instead of
@@ -130,23 +113,7 @@ pub struct QSense {
     /// free through the always-safe Cadence check.
     evicted_threads: CachePadded<AtomicU64>,
     fallback: FallbackFlag,
-    /// Counter stripe for events with no owning slot (parked-bag frees at drop).
-    scheme_stats: CachePadded<StatStripe>,
     rooster: Mutex<Rooster>,
-    /// Limbo leftovers of exited threads: the next surviving handle to flush
-    /// adopts the chain into its current limbo bucket (see [`ParkedChain`]).
-    parked: ParkedChain,
-    /// Pools + scratch buffers of exited threads, adopted by the next
-    /// registrant so handle churn is allocation-free after the first wave.
-    handle_cache: HandleCache<ScanParts>,
-    /// Byte-denominated limbo budget. QSense owns the strongest escalation
-    /// lever of any scheme here: when limbo bytes cross the budget on the fast
-    /// path, the governor trips the hybrid's own fallback switch early —
-    /// QSBR-style grace periods are exactly what a stalled thread stalls, and
-    /// the Cadence scan the fallback path runs needs no cooperation.
-    governor: BudgetGovernor,
-    /// Telemetry histograms (op latency, scan duration, retire→free delay).
-    telemetry: Arc<Telemetry>,
 }
 
 impl QSense {
@@ -160,22 +127,13 @@ impl QSense {
             config.rooster_interval,
             config.use_membarrier,
         );
-        let handle_cache = HandleCache::with_capacity(config.max_threads);
-        let governor = BudgetGovernor::new(config.limbo_budget, config.clock.clone());
-        let telemetry = Arc::new(Telemetry::from_config(&config));
         Arc::new(Self {
-            config,
-            registry,
+            core: SchemeCore::new("qsense", config, registry),
             global_epoch: GlobalEpoch::new(),
             cursor: EpochCursor::new(),
             evicted_threads: CachePadded::new(AtomicU64::new(0)),
             fallback: FallbackFlag::new(),
-            scheme_stats: CachePadded::new(StatStripe::new()),
             rooster: Mutex::new(rooster),
-            parked: ParkedChain::new(),
-            handle_cache,
-            governor,
-            telemetry,
         })
     }
 
@@ -186,7 +144,7 @@ impl QSense {
 
     /// The configuration this scheme was created with.
     pub fn config(&self) -> &SmrConfig {
-        &self.config
+        &self.core.config
     }
 
     /// Which path the scheme is currently on.
@@ -211,13 +169,14 @@ impl QSense {
     /// reusable scratch buffer, sized at registration for the `N·K` worst case,
     /// so steady-state scans never allocate.
     fn protected_snapshot_into(&self, out: &mut Vec<*mut u8>) {
-        self.registry
-            .collect_protected(out, QsenseRecord::collect_hps_into);
+        self.core
+            .seats
+            .collect_protected(out, |record, out| record.hps.collect_into(out));
     }
 
     /// Contributes a bounded slice of the "has every registered, non-evicted
     /// thread adopted `epoch`?" check and advances the global epoch once the
-    /// cooperative pass completes. Replaces the per-quiescent-state O(N) sweep.
+    /// cooperative pass completes.
     ///
     /// Evicted threads count as confirmed (extension): while any thread is
     /// evicted, fast-path frees go through the Cadence check (age + hazard
@@ -226,40 +185,25 @@ impl QSense {
     /// mid-pass is equally safe: lifting happens only at a reference-free
     /// operation boundary, which is precisely a quiescent point.
     fn poll_epoch_confirmation(&self, epoch: u64) {
-        let confirmed = self.cursor.poll(epoch, self.registry.capacity(), |i| {
-            // Shard-granular fast path: if every shard from `i`'s onward up to
-            // `next` is wholly vacant, jump the cursor past the run in one
-            // bitmap probe per shard instead of one check per slot.
-            let next = self.registry.skip_vacant_shards(i);
-            if next > i {
-                CursorCheck::VacantRun(next)
-            } else if !self.registry.is_claimed(i) {
-                CursorCheck::Vacant
-            } else {
-                let record = self.registry.get(i);
-                if record.is_evicted(self.registry.generation(i)) || record.epoch.load() == epoch {
-                    CursorCheck::Confirmed
-                } else {
-                    CursorCheck::Lagging
-                }
-            }
-        });
-        if confirmed {
-            self.global_epoch.try_advance(epoch);
-        }
+        let registry = &self.core.seats;
+        self.cursor
+            .confirm(&self.global_epoch, registry, epoch, |i, record| {
+                record.is_evicted(registry.generation(i)) || record.epoch.load() == epoch
+            });
     }
 
     /// True if every registered, non-evicted thread has set its presence flag since
     /// the last reset (paper: `all_processes_active()`). Runs only while deciding
     /// to leave the fallback path, so the O(N) sweep is off the fast path.
     fn all_processes_active(&self) -> bool {
-        self.registry.iter_claimed().all(|(i, record)| {
-            record.is_evicted(self.registry.generation(i)) || record.presence.is_active()
+        let registry = &self.core.seats;
+        registry.iter_claimed().all(|(i, record)| {
+            record.is_evicted(registry.generation(i)) || record.presence.is_active()
         })
     }
 
     fn reset_presence(&self) {
-        for (_, record) in self.registry.iter_all() {
+        for (_, record) in self.core.seats.iter_all() {
             record.presence.reset();
         }
     }
@@ -287,7 +231,7 @@ impl QSense {
     /// Marks activity on `record`, balancing the eviction counter if a standing
     /// eviction was lifted.
     fn note_activity(&self, record: &QsenseRecord) {
-        if record.mark_active(self.config.clock.now()) {
+        if record.mark_active(self.core.config.clock.now()) {
             self.evicted_threads.fetch_sub(1, Ordering::Release);
         }
     }
@@ -301,17 +245,17 @@ impl QSense {
     /// consults for as long as any thread is evicted — it only affects which threads
     /// the progress decisions wait for. Returns the number of threads newly evicted.
     fn evict_unresponsive(&self) -> usize {
-        let Some(timeout) = self.config.eviction_timeout_nanos() else {
+        let Some(timeout) = self.core.config.eviction_timeout_nanos() else {
             return 0;
         };
-        let now = self.config.clock.now();
+        let now = self.core.config.clock.now();
         let mut evicted = 0;
-        for (i, record) in self.registry.iter_all() {
+        for (i, record) in self.core.seats.iter_all() {
             // Snapshot the slot's generation *before* the staleness check: the
             // eviction is planted tagged with this value and re-validated after
             // the CAS, so a handle drop (and possible re-registration) slipping
             // into the gap is detected instead of stranding a flag.
-            let gen = self.registry.generation(i);
+            let gen = self.core.seats.generation(i);
             // Dead-generation flags — strands of an evictor whose plant landed
             // between a dying owner's final `mark_active` and its release, or
             // of an evictor that died between its plant and its own post-CAS
@@ -353,7 +297,7 @@ impl QSense {
                     .compare_exchange(0, gen, Ordering::Release, Ordering::Relaxed)
                     .is_ok()
                 {
-                    if self.registry.generation(i) != gen {
+                    if self.core.seats.generation(i) != gen {
                         // The slot changed hands between the staleness check and
                         // the flag CAS: the flag we just planted tags a dead
                         // generation, so no reader will honour it. Retract it —
@@ -379,54 +323,14 @@ impl QSense {
         }
         evicted
     }
+}
 
-    /// A Cadence-style scan over one limbo bag: free nodes that are old enough and
-    /// unprotected; keep the rest. Counters go to `stats` (the calling handle's
-    /// stripe).
-    fn cadence_scan(
-        &self,
-        bag: &mut SegBag,
-        pool: &mut SegPool,
-        protected: &[*mut u8],
-        stats: &StatStripe,
-        tele_stripe: usize,
-    ) -> usize {
-        // Fallback scans walk the aged prefix node by node.
-        stats.add_scan_walk();
-        let now = self.config.clock.now();
-        let min_age = self.config.min_reclaim_age_nanos();
-        let observer = self.telemetry.scan_observer(tele_stripe);
-        // SAFETY: identical to Cadence's scan (paper Property 1) — QSense maintains
-        // hazard pointers at all times, so Condition 1 holds for nodes retired on
-        // either path; old-enough + unprotected therefore implies unreachable.
-        //
-        // As in Cadence, the walk stops at the first too-young node: limbo bags
-        // are pushed in retirement order, so the scan touches only the aged
-        // prefix (adopted parked chains behind younger nodes are merely
-        // delayed, never endangered).
-        let bytes_before = bag.bytes();
-        // SAFETY: the bag owns these retired nodes; a node is freed only when aged past `min_age` and absent from the hazard snapshot.
-        let freed = unsafe {
-            bag.reclaim_if_while(
-                pool,
-                |node| node.is_old_enough(now, min_age),
-                |node| {
-                    let free = protected.binary_search(&node.addr()).is_err();
-                    if free {
-                        if let Some(obs) = observer.as_ref() {
-                            obs.note_free(node);
-                        }
-                    }
-                    free
-                },
-            )
-        };
-        stats.add_freed(freed as u64);
-        stats.add_freed_bytes((bytes_before - bag.bytes()) as u64);
-        if let Some(obs) = observer {
-            obs.finish();
-        }
-        freed
+impl Protocol for QSense {
+    type Seats = Registry<QsenseRecord>;
+    type Parts = PtrScratch;
+
+    fn core(&self) -> &SchemeCore<Self::Seats, PtrScratch> {
+        &self.core
     }
 }
 
@@ -434,83 +338,61 @@ impl Smr for QSense {
     type Handle = QSenseHandle;
 
     fn try_register(self: &Arc<Self>) -> Result<QSenseHandle, CapacityExhausted> {
-        let slot = self.registry.try_acquire().map_err(|e| CapacityExhausted {
-            scheme: "qsense",
-            capacity: e.capacity,
+        let (core, scratch) = HandleCore::register(self, |config| {
+            (
+                SegPool::new(),
+                PtrScratch::with_capacity(config.max_threads * config.hp_per_thread),
+            )
         })?;
         let epoch = self.global_epoch.load();
-        let record = self.registry.get_mine(slot);
+        let record = self.core.seats.get_mine(core.seat());
         record.epoch.store(epoch);
         self.note_activity(record);
-        // Adopt a previous tenant's pool + scratch when available (thread-pool
-        // churn; see `HandleCache`).
-        let parts = self.handle_cache.adopt().unwrap_or_else(|| ScanParts {
-            pool: SegPool::new(),
-            scratch: PtrScratch::with_capacity(self.config.max_threads * self.config.hp_per_thread),
-        });
         Ok(QSenseHandle {
-            tele: HandleTelemetry::attach(&self.telemetry),
-            scheme: Arc::clone(self),
-            budget_stripe: BudgetGovernor::stripe_for(slot.shard()),
-            slot,
+            core,
             limbo: std::array::from_fn(|_| SegBag::new()),
-            pool: parts.pool,
-            scratch: parts.scratch,
+            scratch,
             local_epoch: epoch,
             ops_since_quiescence: 0,
             retires_since_scan: 0,
-            budget_reported: 0,
             prev_seen_path: Path::Fast,
         })
     }
 
     fn name(&self) -> &'static str {
-        "qsense"
+        self.core.name()
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        self.registry.merge_stats(&mut snap);
-        self.scheme_stats.merge_into(&mut snap);
-        snap.peak_limbo_bytes = self.governor.peak_bytes();
-        snap
+        self.core.stats()
     }
 
     fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.governor.verdict())
+        self.core.budget_verdict()
     }
 
     fn telemetry(&self) -> Option<&Telemetry> {
-        Some(&self.telemetry)
+        self.core.telemetry()
     }
 }
 
 impl Drop for QSense {
     fn drop(&mut self) {
+        // Stop the roosters before the kernel drains the parked nodes.
         self.rooster
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .shutdown();
-        // No handles remain, so nothing can reference a parked node.
-        // SAFETY: parked nodes were retired by departed handles and survive until a scan proves them unprotected.
-        let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
-        self.scheme_stats.add_freed(freed as u64);
-        self.scheme_stats.add_freed_bytes(freed_bytes as u64);
-        self.governor.note_parked(-(freed_bytes as i64));
     }
 }
 
 /// Per-thread handle for [`QSense`].
 pub struct QSenseHandle {
-    scheme: Arc<QSense>,
-    slot: SlotId,
+    core: HandleCore<QSense>,
     /// One limbo list per logical epoch (fast path); scanned as a whole by the
     /// fallback path ("QSBR's limbo_list becomes the removed_nodes_list scanned by
     /// Cadence", paper §5.2).
     limbo: [SegBag; EPOCH_BUCKETS],
-    /// Recycled segments shared by all three limbo buckets, so a bucket growing
-    /// past another's high-water mark still never allocates.
-    pool: SegPool,
     /// Reusable buffer for hazard-pointer snapshots, sized for the worst case
     /// (`N·K` pointers) at registration so scans are allocation-free.
     scratch: PtrScratch,
@@ -519,23 +401,13 @@ pub struct QSenseHandle {
     ops_since_quiescence: usize,
     /// `free_node_later_call_count` in Algorithm 5.
     retires_since_scan: usize,
-    /// Governor stripe this handle debits/credits (slot-derived, stable).
-    budget_stripe: usize,
-    /// Limbo-byte figure last reported to the governor (delta cursor).
-    budget_reported: usize,
     /// `prev_seen_fallback_flag` in Algorithm 5.
     prev_seen_path: Path,
-    /// Telemetry recording cursor (stripe + op-sampling counter).
-    tele: HandleTelemetry,
 }
 
 impl QSenseHandle {
     fn record(&self) -> &QsenseRecord {
-        self.scheme.registry.get_mine(self.slot)
-    }
-
-    fn stats(&self) -> &StatStripe {
-        self.scheme.registry.stats(self.slot)
+        self.core.scheme().core.seats.get_mine(self.core.seat())
     }
 
     /// Total retired-but-unreclaimed nodes across the three limbo lists.
@@ -556,89 +428,57 @@ impl QSenseHandle {
     /// QSBR-style quiescent state (fast path): adopt the global epoch — freeing the
     /// limbo bucket the new epoch maps to — or help advance it.
     fn quiescent_state(&mut self) {
-        self.stats().add_quiescent_state();
-        let global = self.scheme.global_epoch.load();
-        if self.local_epoch != global {
-            self.record().epoch.store(global);
-            self.local_epoch = global;
-            let bucket = limbo_index(global);
-            if self.scheme.any_evicted() {
-                // Eviction extension: grace periods no longer cover evicted threads,
-                // so while any thread is evicted the bucket is freed through the
-                // Cadence condition instead (old enough + not hazard-pointer
-                // protected), which covers evicted and non-evicted threads alike.
-                self.scheme.protected_snapshot_into(&mut self.scratch);
-                let stats = self.scheme.registry.stats(self.slot);
-                self.scheme.cadence_scan(
-                    &mut self.limbo[bucket],
-                    &mut self.pool,
-                    &self.scratch,
-                    stats,
-                    self.tele.stripe(),
-                );
-            } else {
-                let observer = if self.limbo[bucket].is_empty() {
-                    // Nothing matured in this bucket: the grace drain passes it
-                    // over, and an empty drain needs no observer clock reads.
-                    self.stats().add_scan_skip();
-                    None
-                } else {
-                    // Grace-period drains free the whole bucket, no per-node tests.
-                    self.stats().add_scan_wholesale();
-                    self.scheme.telemetry.scan_observer(self.tele.stripe())
-                };
-                // SAFETY: Lemma 3 / Property 5 of the paper — a full grace period has
-                // elapsed since the nodes in this bucket were retired (counting every
-                // registered thread, since none is evicted), so no thread holds a
-                // hazardous reference to them. Identical argument to the `qsbr` crate.
-                let bytes_before = self.limbo[bucket].bytes();
-                // SAFETY: grace period elapsed — see the Lemma 3 argument above.
-                let freed = unsafe {
-                    match observer.as_ref() {
-                        Some(obs) => self.limbo[bucket].reclaim_if(&mut self.pool, |node| {
-                            obs.note_free(node);
-                            true
-                        }),
-                        None => self.limbo[bucket].reclaim_all(&mut self.pool),
-                    }
-                };
-                if let Some(obs) = observer {
-                    obs.finish();
-                }
-                self.stats().add_freed(freed as u64);
-                self.stats().add_freed_bytes(bytes_before as u64);
-            }
-            self.scheme.governor.report(
-                self.budget_stripe,
-                self.limbo_bytes(),
-                &mut self.budget_reported,
-            );
-        } else {
-            self.scheme.poll_epoch_confirmation(global);
+        self.core.stats().add_quiescent_state();
+        let scheme = self.core.scheme();
+        let global = scheme.global_epoch.load();
+        if self.local_epoch == global {
+            scheme.poll_epoch_confirmation(global);
+            return;
         }
+        self.record().epoch.store(global);
+        self.local_epoch = global;
+        let bucket = &mut self.limbo[limbo_index(global)];
+        if scheme.any_evicted() {
+            // Eviction extension: grace periods no longer cover evicted threads,
+            // so while any thread is evicted the bucket is freed through the
+            // Cadence condition instead (old enough + not hazard-pointer
+            // protected), which covers evicted and non-evicted threads alike.
+            let mut pass = self.core.pass(true);
+            pass.scheme.protected_snapshot_into(&mut self.scratch);
+            // SAFETY: identical to Cadence's scan (paper Property 1) — QSense
+            // maintains hazard pointers at all times, so Condition 1 holds for
+            // nodes retired on either path; old-enough + unprotected therefore
+            // implies unreachable.
+            unsafe { aged_scan(&mut pass, bucket, &self.scratch) };
+            pass.finish();
+        } else {
+            // SAFETY: Lemma 3 / Property 5 of the paper — a full grace period has
+            // elapsed since the nodes in this bucket were retired (counting every
+            // registered thread, since none is evicted), so no thread holds a
+            // hazardous reference to them. Identical argument to the `qsbr` crate.
+            unsafe { grace_drain(&mut self.core, bucket) };
+        }
+        self.core.report(self.limbo_bytes());
     }
 
     /// Cadence-style scan over all three limbo lists (fallback path; paper Algorithm
     /// 5 lines 45–47 scan every epoch's list). Returns `true` when limbo bytes
     /// remain over the configured budget even after the scan.
     fn cadence_scan_all(&mut self) -> bool {
-        self.stats().add_scan();
-        self.scheme.protected_snapshot_into(&mut self.scratch);
-        let stats = self.scheme.registry.stats(self.slot);
+        self.core.stats().add_scan();
+        self.core
+            .scheme()
+            .protected_snapshot_into(&mut self.scratch);
         for bag in &mut self.limbo {
-            self.scheme.cadence_scan(
-                bag,
-                &mut self.pool,
-                &self.scratch,
-                stats,
-                self.tele.stripe(),
-            );
+            // One pass per bucket: each bucket is its own observed scan.
+            let mut pass = self.core.pass(true);
+            // SAFETY: as in `quiescent_state`'s eviction branch — hazard
+            // pointers are maintained on both paths, and the snapshot was
+            // taken after every retire in these bags.
+            unsafe { aged_scan(&mut pass, bag, &self.scratch) };
+            pass.finish();
         }
-        self.scheme.governor.report(
-            self.budget_stripe,
-            self.limbo_bytes(),
-            &mut self.budget_reported,
-        )
+        self.core.report(self.limbo_bytes())
     }
 
     /// The body of `manage_qsense_state` once the batching threshold fires
@@ -646,8 +486,9 @@ impl QSenseHandle {
     fn manage_state(&mut self) {
         // Signal that this thread is active (and lift any eviction of this thread —
         // it holds no references here, so counting it again is safe).
-        self.scheme.note_activity(self.record());
-        match self.scheme.fallback.load() {
+        let scheme = self.core.scheme();
+        scheme.note_activity(self.record());
+        match scheme.fallback.load() {
             Path::Fast => {
                 // Common case: run the fast path.
                 self.quiescent_state();
@@ -658,13 +499,13 @@ impl QSenseHandle {
                 // have been silent for longer than the configured timeout so that a
                 // permanently failed thread cannot pin the system in fallback mode
                 // forever (disabled unless `eviction_timeout` is set).
-                self.scheme.evict_unresponsive();
+                scheme.evict_unresponsive();
                 // Try to switch back to the fast path if everyone (still counted) is
                 // active again.
-                if self.scheme.all_processes_active() && self.scheme.fallback.trigger_fast_path() {
-                    self.stats().add_fast_path_switch();
+                if scheme.all_processes_active() && scheme.fallback.trigger_fast_path() {
+                    self.core.stats().add_fast_path_switch();
                     // Start a fresh observation window for the next fallback episode.
-                    self.scheme.reset_presence();
+                    scheme.reset_presence();
                     self.prev_seen_path = Path::Fast;
                     self.quiescent_state();
                 } else {
@@ -680,7 +521,7 @@ impl SmrHandle for QSenseHandle {
         // `manage_qsense_state`: batch the real work, once every Q calls
         // (Algorithm 5, lines 13–17).
         self.ops_since_quiescence += 1;
-        if self.ops_since_quiescence >= self.scheme.config.quiescence_threshold {
+        if self.ops_since_quiescence >= self.core.config().quiescence_threshold {
             self.ops_since_quiescence = 0;
             self.manage_state();
         }
@@ -690,52 +531,33 @@ impl SmrHandle for QSenseHandle {
 
     #[inline]
     fn protect(&mut self, index: usize, ptr: *mut u8) {
-        assert!(
-            index < self.scheme.config.hp_per_thread,
-            "hazard-pointer index {index} out of range (K = {})",
-            self.scheme.config.hp_per_thread
-        );
         // Hazard pointers are maintained on *both* paths, without fences (paper §4.1:
         // protections from the fast path must already be in place when the system
         // switches to the fallback path; §5.1: no fence is needed because rooster
-        // wake-ups + deferred reclamation bound visibility).
-        self.record().set_hp(index, ptr);
+        // wake-ups + deferred reclamation bound visibility). Only a compiler
+        // fence, exactly as in Cadence.
+        self.record().hps.set(index, ptr);
+        membarrier::light_barrier();
     }
 
     fn clear_protections(&mut self) {
-        self.record().clear_hps();
+        self.record().hps.clear_all();
     }
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn) {
+    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size: NonZeroUsize) {
+        // `free_node_later` (Algorithm 5, lines 36–61). Timestamps are recorded
+        // regardless of the current path (§5.2).
         // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire_sized(ptr, drop_fn, NO_BIRTH_ERA, 0) }
-    }
-
-    unsafe fn retire_sized(
-        &mut self,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        _birth_era: Era,
-        size_bytes: usize,
-    ) {
-        // `free_node_later` (Algorithm 5, lines 36–61).
-        self.stats().add_retired(1);
-        self.stats().add_retired_bytes(size_bytes as u64);
-        if size_bytes == 0 {
-            self.stats().add_size_unknown_retire();
-        }
-        let now = self.scheme.config.clock.now();
-        let bucket = limbo_index(self.local_epoch);
-        // Timestamps are recorded regardless of the current path (§5.2).
-        // SAFETY: forwarded from the caller's contract.
-        let mut node =
-            unsafe { RetiredPtr::with_birth_sized(ptr, drop_fn, now, NO_BIRTH_ERA, size_bytes) };
-        node.set_retire_tick(self.tele.retire_tick());
-        self.limbo[bucket].push(&mut self.pool, node);
+        let node = unsafe {
+            self.core
+                .stamp(self.core.now(), ptr, drop_fn, birth_era, size)
+        };
+        self.limbo[limbo_index(self.local_epoch)].push(&mut self.core.pool, node);
         self.retires_since_scan += 1;
 
-        let seen = self.scheme.fallback.load();
-        if seen == Path::Fallback && self.retires_since_scan >= self.scheme.config.scan_threshold {
+        let scheme = self.core.scheme();
+        let seen = scheme.fallback.load();
+        if seen == Path::Fallback && self.retires_since_scan >= scheme.core.config.scan_threshold {
             // Running in fallback mode: all three limbo lists are scanned.
             self.retires_since_scan = 0;
             self.cadence_scan_all();
@@ -745,55 +567,45 @@ impl SmrHandle for QSenseHandle {
             self.quiescent_state();
             self.prev_seen_path = Path::Fast;
         } else if self.prev_seen_path == Path::Fast
-            && self.limbo_size() >= self.scheme.config.fallback_threshold
+            && self.limbo_size() >= scheme.core.config.fallback_threshold
         {
             // This thread's limbo list has grown past C: quiescence has not been
             // possible for a while, so trigger the switch to the fallback path.
-            if self.scheme.fallback.trigger_fallback() {
-                self.stats().add_fallback_switch();
-                self.scheme.reset_presence();
+            if scheme.fallback.trigger_fallback() {
+                self.core.stats().add_fallback_switch();
+                scheme.reset_presence();
             }
             self.prev_seen_path = Path::Fallback;
             self.cadence_scan_all();
-        } else if self.scheme.governor.observe(
-            self.budget_stripe,
-            self.limbo_bytes(),
-            &mut self.budget_reported,
-        ) {
+        } else if self.core.observe(self.limbo_bytes()) {
             // Over the byte budget before the node-count fallback threshold C
             // fired — typically large payloads behind a stalled grace period.
             // QSense's escalation lever *is* its hybrid switch: trip the
             // fallback path early (the Cadence condition needs no cooperation
             // from a stalled thread), then scan all three lists right now.
-            if seen == Path::Fast && self.scheme.fallback.trigger_fallback() {
-                self.stats().add_fallback_switch();
-                self.scheme.governor.count_fallback_trip();
-                self.scheme.reset_presence();
+            let (scheme, governor) = (self.core.scheme(), self.core.governor());
+            if seen == Path::Fast && scheme.fallback.trigger_fallback() {
+                self.core.stats().add_fallback_switch();
+                governor.count_fallback_trip();
+                scheme.reset_presence();
             }
             self.prev_seen_path = Path::Fallback;
-            self.scheme.governor.count_forced_scan();
+            governor.count_forced_scan();
             self.retires_since_scan = 0;
-            if self.cadence_scan_all() {
-                // Still over: the T + ε age gate (or live protections) keep the
-                // bytes pinned. Shed a little retire-side speed so limbo stops
-                // compounding while the clock catches up.
-                self.scheme.governor.count_backpressure();
-                std::thread::yield_now();
-            }
+            // Still over after the scan: the T + ε age gate (or live
+            // protections) keep the bytes pinned; back off while the clock
+            // catches up.
+            let over = self.cadence_scan_all();
+            self.core.backpressure(over);
         }
     }
 
     fn flush(&mut self) {
         // Adopt limbo leftovers of exited threads into the current bucket: they
         // were unlinked before the adoption, so both the grace-period argument and
-        // the Cadence age check cover them from here on. O(1) splice. The bytes
-        // move from the governor's parked pool onto this handle's reported
-        // figure, so credit the pool by exactly the adopted amount.
-        let bucket = limbo_index(self.local_epoch);
-        let bytes_before = self.limbo[bucket].bytes();
-        self.scheme.parked.adopt_into(&mut self.limbo[bucket]);
-        let adopted = self.limbo[bucket].bytes() - bytes_before;
-        self.scheme.governor.note_parked(-(adopted as i64));
+        // the Cadence age check cover them from here on. O(1) splice.
+        let mut adopted = self.core.adopt_parked();
+        self.limbo[limbo_index(self.local_epoch)].splice(&mut adopted);
         // Give both paths a chance: cycle quiescent states (frees whole buckets if
         // the epoch can advance) and run one Cadence scan (frees aged, unprotected
         // nodes even if it cannot).
@@ -813,44 +625,35 @@ impl SmrHandle for QSenseHandle {
     }
 
     fn telemetry_op_begin(&mut self) -> Option<Instant> {
-        self.tele.op_begin()
+        self.core.tele.op_begin()
     }
 
     fn telemetry_op_end(&mut self, started: Instant) {
-        self.tele.op_end(started);
+        self.core.tele.op_end(started);
     }
 }
 
 impl Drop for QSenseHandle {
     fn drop(&mut self) {
-        self.record().clear_hps();
+        self.record().hps.clear_all();
         self.flush();
         let mut leftovers = SegBag::new();
         for bag in &mut self.limbo {
             leftovers.splice(bag);
         }
-        // Retire this handle's delta cursor, then move the surviving bytes into
-        // the governor's parked pool so they stay visible to the budget until a
-        // surviving handle adopts (and re-reports) them.
-        let parked_bytes = leftovers.bytes();
-        self.scheme
-            .governor
-            .note_handle_exit(self.budget_stripe, &mut self.budget_reported);
-        self.scheme.governor.note_parked(parked_bytes as i64);
-        self.scheme.parked.park(&mut leftovers);
         // Refresh activity and lift any standing eviction *while still the slot
-        // owner* — the record must never be touched after `release`, because a
-        // successor thread may already own it (clearing a successor's eviction
-        // from here would let the fast path free nodes the successor still
-        // protects). The refreshed `last_active` also stops any evictor that has
-        // not yet passed its staleness check from flagging this slot during the
-        // remainder of the drop.
-        self.scheme.note_activity(self.record());
-        // Leaving the system: this thread must stop blocking both the epoch advance
-        // check and the all-processes-active check, which releasing the slot does.
+        // owner* — the record must never be touched after the kernel's exit
+        // releases the slot, because a successor thread may already own it
+        // (clearing a successor's eviction from here would let the fast path
+        // free nodes the successor still protects). The refreshed `last_active`
+        // also stops any evictor that has not yet passed its staleness check
+        // from flagging this slot during the remainder of the drop.
+        self.core.scheme().note_activity(self.record());
+        // The exit's release is what stops this thread blocking both the epoch
+        // advance check and the all-processes-active check.
         //
         // An evictor preempted between its staleness check and its flag CAS across
-        // this entire drop can still plant a flag around this release — but the
+        // this entire drop can still plant a flag around that release — but the
         // flag carries the generation the evictor observed, which the release
         // retires, so no reader ever honours it for a successor tenancy
         // (`is_evicted` compares against the current generation): the *unsafe*
@@ -862,12 +665,8 @@ impl Drop for QSenseHandle {
         // check) until the next eviction sweep's dead-flag retraction (which
         // rebalances flag and counter in one pass, whether the slot is still
         // vacant or already re-claimed) or the slot's next registration.
-        self.scheme.registry.release(self.slot);
-        // Recycle the workspace to the next registrant (see `HandleCache`).
-        self.scheme.handle_cache.park(ScanParts {
-            pool: std::mem::take(&mut self.pool),
-            scratch: std::mem::take(&mut self.scratch),
-        });
+        let scratch = std::mem::take(&mut self.scratch);
+        self.core.exit(&mut leftovers, scratch);
     }
 }
 
@@ -878,14 +677,14 @@ mod tests {
     #[test]
     fn record_maintains_hps_epoch_and_presence() {
         let record = QsenseRecord::new(2);
-        record.set_hp(0, 0x10 as *mut u8);
-        record.set_hp(1, 0x20 as *mut u8);
+        record.hps.set(0, 0x10 as *mut u8);
+        record.hps.set(1, 0x20 as *mut u8);
         let mut out = Vec::new();
-        record.collect_hps_into(&mut out);
+        record.hps.collect_into(&mut out);
         assert_eq!(out.len(), 2);
-        record.clear_hps();
+        record.hps.clear_all();
         out.clear();
-        record.collect_hps_into(&mut out);
+        record.hps.collect_into(&mut out);
         assert!(out.is_empty());
         record.epoch.store(3);
         assert_eq!(record.epoch.load(), 3);
@@ -992,11 +791,11 @@ mod tests {
         );
         let stale_gen = {
             let first = scheme.register();
-            scheme.registry.generation(first.slot.index())
+            scheme.core.seats.generation(first.core.seat().index())
         }; // first owner deregisters here
         let successor = scheme.register();
-        let slot = successor.slot.index();
-        let gen_now = scheme.registry.generation(slot);
+        let slot = successor.core.seat().index();
+        let gen_now = scheme.core.seats.generation(slot);
         assert_eq!(gen_now, stale_gen + 2, "same slot, next tenancy");
 
         // Replay the stalled evictor's writes: increment, then the flag CAS with
@@ -1004,7 +803,7 @@ mod tests {
         // (the word was 0) — rejection happens at the generation comparison every
         // reader performs.
         scheme.evicted_threads.fetch_add(1, Ordering::Relaxed);
-        let record = scheme.registry.get(slot);
+        let record = scheme.core.seats.get(slot);
         assert!(record
             .evicted
             .compare_exchange(0, stale_gen, Ordering::Release, Ordering::Relaxed)
@@ -1050,11 +849,11 @@ mod tests {
         );
         let stale_gen = {
             let handle = scheme.register();
-            scheme.registry.generation(handle.slot.index())
+            scheme.core.seats.generation(handle.core.seat().index())
         }; // owner deregisters; the slot is now vacant
            // Replay the raced evictor's plant against the vacant slot.
         scheme.evicted_threads.fetch_add(1, Ordering::Relaxed);
-        let record = scheme.registry.get(0);
+        let record = scheme.core.seats.get(0);
         record.evicted.store(stale_gen, Ordering::Release);
         assert_eq!(scheme.evicted_count(), 1, "stranded over-count");
         // The sweep evicts nobody (no claimed slots) but retracts the strand.
@@ -1089,15 +888,15 @@ mod tests {
         );
         let stale_gen = {
             let handle = scheme.register();
-            scheme.registry.generation(handle.slot.index())
+            scheme.core.seats.generation(handle.core.seat().index())
         }; // first owner deregisters
         let successor = scheme.register();
-        let slot = successor.slot.index();
-        let gen_now = scheme.registry.generation(slot);
+        let slot = successor.core.seat().index();
+        let gen_now = scheme.core.seats.generation(slot);
         assert_eq!(gen_now, stale_gen + 2, "same slot, next tenancy");
         // Replay the dead evictor's writes against the re-claimed slot.
         scheme.evicted_threads.fetch_add(1, Ordering::Relaxed);
-        let record = scheme.registry.get(slot);
+        let record = scheme.core.seats.get(slot);
         record.evicted.store(stale_gen, Ordering::Release);
         assert_eq!(scheme.evicted_count(), 1, "stranded over-count");
         assert!(!record.is_evicted(gen_now), "dead flag is never honoured");

@@ -352,8 +352,8 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The pause-point registry and the scheduler slot are process-global, so two
-/// explorations must never overlap; every public entry point holds this lock.
+/// The scheduler slot is process-global, so two explorations must never
+/// overlap; every public entry point holds this lock.
 fn explorer_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))

@@ -20,7 +20,7 @@
 //! would be a genuine use-after-free, not a test.
 
 use lockfree_ds::interleave;
-use reclaim_core::{drop_fn_for, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA};
+use reclaim_core::{drop_fn_for, node_size, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -196,11 +196,11 @@ impl<S: Smr> RelinkFixture<S> {
         // resurrected bug a concurrent insert may still re-link it — which is
         // exactly the violation the oracle is here to convict.
         unsafe {
-            handle.retire_sized(
+            handle.retire(
                 target.cast(),
                 drop_fn_for::<FixNode>(),
                 NO_BIRTH_ERA,
-                std::mem::size_of::<FixNode>(),
+                node_size::<FixNode>(),
             )
         };
         handle.end_op();

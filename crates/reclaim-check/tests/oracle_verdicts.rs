@@ -9,7 +9,7 @@
 #![cfg(feature = "check-oracle")]
 
 use reclaim_check::{fixture, schedule_of, Explorer, FailureKind, Scenario, ScenarioRun};
-use reclaim_core::{drop_fn_for, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA};
+use reclaim_core::{drop_fn_for, node_size, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA};
 
 #[test]
 fn explorer_finds_the_pre_versioning_relink_uaf() {
@@ -70,11 +70,11 @@ fn seeded_uaf_scenario() -> Scenario {
             // exactly once — the *seeded* violation is the checkpoint below,
             // not the retire.
             unsafe {
-                handle.retire_sized(
+                handle.retire(
                     node.cast(),
                     drop_fn_for::<u64>(),
                     NO_BIRTH_ERA,
-                    std::mem::size_of::<u64>(),
+                    node_size::<u64>(),
                 )
             };
             handle.flush();

@@ -7,9 +7,10 @@
 //! registers and deregisters a handle per task pays it per *task*.
 //!
 //! [`HandleCache`] closes the gap: a dying handle parks its reusable parts
-//! (pool + scratch, bundled in a scheme-chosen `T`) on the scheme, and the next
-//! `register` on the same scheme adopts them instead of building fresh ones —
-//! so after the first wave of registrations, handle churn is allocation-free.
+//! (the pool plus the protocol's scratch; see [`crate::kernel::HandleCore`])
+//! on the scheme, and the next `register` on the same scheme adopts them
+//! instead of building fresh ones — so after the first wave of registrations,
+//! handle churn is allocation-free.
 //! This is the resource-side twin of [`ParkedChain`](crate::segbag::ParkedChain)
 //! (which moves the *retired nodes* of dying handles for free): the chain moves
 //! the work, the cache moves the workspace.
@@ -18,22 +19,8 @@
 //! can ever be simultaneous handles would be dead weight, so excess parks are
 //! simply dropped (releasing their segments to the allocator).
 
-use crate::scratch::PtrScratch;
-use crate::segbag::SegPool;
 use std::fmt;
 use std::sync::Mutex;
-
-/// The recyclable resource bundle of the hazard-pointer-family schemes (HP,
-/// Cadence, QSense): the segment pool backing the retired bags plus the `N·K`
-/// pointer-snapshot scratch. Defined once here so every scheme's cache shares
-/// one bundle shape (schemes with different workspaces — e.g. the era
-/// reservation scratch of `he` — define their own).
-pub struct ScanParts {
-    /// Recycled segments for the new owner's bags.
-    pub pool: SegPool,
-    /// Reusable hazard-pointer snapshot buffer.
-    pub scratch: PtrScratch,
-}
 
 /// A bounded LIFO cache of per-handle resource bundles (see the module docs).
 pub struct HandleCache<T> {
@@ -43,7 +30,8 @@ pub struct HandleCache<T> {
 
 impl<T> HandleCache<T> {
     /// Creates a cache holding at most `capacity` parked bundles (the scheme's
-    /// `max_threads` is the natural choice). The backing storage is allocated
+    /// `max_threads` is the natural choice; `0` disables the cache without
+    /// taking its lock). The backing storage is allocated
     /// up front so that `park` itself never touches the allocator — parking
     /// happens on the handle-drop path, which the zero-alloc contract covers.
     pub fn with_capacity(capacity: usize) -> Self {
@@ -56,6 +44,9 @@ impl<T> HandleCache<T> {
     /// Parks a dying handle's resource bundle for the next registrant. Bundles
     /// beyond the capacity are dropped (their resources are released normally).
     pub fn park(&self, bundle: T) {
+        if self.capacity == 0 {
+            return;
+        }
         let mut parts = self.parts.lock().unwrap_or_else(|e| e.into_inner());
         if parts.len() < self.capacity {
             parts.push(bundle);
@@ -65,6 +56,9 @@ impl<T> HandleCache<T> {
     /// Takes the most recently parked bundle, if any. LIFO keeps the hottest
     /// (most recently touched) segments and buffers in circulation.
     pub fn adopt(&self) -> Option<T> {
+        if self.capacity == 0 {
+            return None;
+        }
         self.parts.lock().unwrap_or_else(|e| e.into_inner()).pop()
     }
 

@@ -10,10 +10,13 @@
 //! * the [`Smr`] / [`SmrHandle`] traits — the three-function interface the paper
 //!   prescribes (`manage_qsense_state`, `assign_HP`, `free_node_later`) plus the
 //!   plumbing a real library needs (registration, statistics, forced collection)
-//!   and an allocation-side hook ([`SmrHandle::alloc_node`] /
-//!   [`SmrHandle::retire_with_birth`]) that stamps nodes with the birth era the
+//!   and an allocation-side hook ([`SmrHandle::alloc_node`], whose stamp
+//!   [`SmrHandle::retire`] carries back) that records the birth era the
 //!   interval-based `he` scheme (Hazard Eras / 2GE-IBR) reasons about — a no-op
 //!   for every other scheme;
+//! * the [`kernel`] every scheme is built on: registration, retire accounting,
+//!   the budget ladder, reclamation passes, park/adopt and the exit sequence,
+//!   written once (see "Scheme kernel" below);
 //! * a [`registry::Registry`] of per-thread slots with interior-mutable per-thread
 //!   state that other threads may scan (hazard pointers, epochs, presence flags),
 //!   striped into claim-bitmap **shards** of [`registry::SHARD_SLOTS`] so scans
@@ -65,12 +68,12 @@
 //! | per scan (every `R` retires) | snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::reclaim_if`]) plus at most one O(1) adjacent-segment merge; under the adaptive era policy, one striped limbo report (a single `fetch_add` to the handle's padded stripe) plus an O(#stripes) estimate read to adapt the tick interval ([`clock::EraPacer::note_scan`]) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
 //! | per scan, shard dispatch ([`registry::Registry::collect_protected`]) | one acquire bitmap load per shard of [`registry::SHARD_SLOTS`] slots; wholly-vacant shards are stepped over with **zero slot-line touches** (counted in [`stats::StatsSnapshot::shard_skips`]), so the flat model's O(capacity) sweep becomes O(active shards · `SHARD_SLOTS` + total shards) — with 8 handles in a 256-slot registry, 8 of 32 shards are walked and the other 24 cost one load each. Epoch-confirmation walks get the same jump via [`registry::Registry::skip_vacant_shards`] | one read-mostly padded line per shard; vacant shards' record lines never enter the scanner's cache |
 //! | per lease checkout/checkin ([`lease::LeasePool`]) | one uncontended mutex lock + a `Vec` pop (checkout) or push-into-reserved-capacity + one condvar notify (checkin) — O(1) in `M` and `N`, allocation-free after construction; registration/scan costs are **not** re-paid per task, that is the point | one mutex word; contended only when tasks outnumber idle handles |
-//! | per `retire` (byte accounting) | stamp `size_of::<T>()` into the [`retired::RetiredPtr`] (a compile-time constant written next to the timestamp the wrapper already carries; raw `retire` keeps a size-unknown 0 path); bump the slot's retired-bytes stripe; one grain-gated [`budget::BudgetGovernor::observe`] — a comparison against the handle's last-reported figure, escalating to a striped `fetch_add` plus an O(#stripes) estimate refresh only when this handle's limbo moved a full grain (budget/64, clamped to [256 B, 64 KiB]) | single-writer padded lines; the governor add touches one of 8 `CachePadded` stripes, and only once per grain of churn — **no per-retire shared write** |
+//! | per `retire` (byte accounting) | stamp the retire's [`NonZeroUsize`](std::num::NonZeroUsize) size into the [`retired::RetiredPtr`] (a compile-time constant for every typed caller, written next to the timestamp the wrapper already carries); bump the slot's retired-bytes stripe; one grain-gated [`budget::BudgetGovernor::observe`] — a comparison against the handle's last-reported figure, escalating to a striped `fetch_add` plus an O(#stripes) estimate refresh only when this handle's limbo moved a full grain (budget/64, clamped to [256 B, 64 KiB]) | single-writer padded lines; the governor add touches one of 8 `CachePadded` stripes, and only once per grain of churn — **no per-retire shared write** |
 //! | per budget crossing ([`budget::BudgetGovernor`] escalation) | rung 1: a forced scan on the retiring handle; rung 2: the scheme's own pressure lever — HE's byte-mode [`clock::EraPacer`] boost, QSense's early fallback trip; rung 3: one bounded `yield_now` of retire-side backpressure when the forced scan failed to get back under budget | nothing new — every rung reuses the scan/switch machinery above, and every pull is counted in the queryable [`budget::BudgetVerdict`] |
 //! | per op, guard layer ([`guard::Guard`] bracket) | `begin_op` at construction; `clear_protections` + `end_op` at drop — the per-op scheme costs above plus the telemetry rows below; the guard itself is a pointer and an (almost always empty) latency-sample slot, never allocated | none beyond the wrapped calls |
 //! | per protected load ([`guard::Guard::load_protected`] / [`guard::Guard::protect_word`]) | the `protect` store above plus one acquire re-read of the link word (looping only while the word moves) — the same publish + re-validate pattern the hand-written protocol used, priced identically | identical to raw `protect` + re-read |
 //! | per node allocated ([`guard::Owned::new`]) | one heap allocation of value + one-word birth-era header; the `alloc_node` stamp above written into the header | identical to `alloc_node` |
-//! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_raw`]) | exactly the sized retire above: birth era read back from the node header (one thread-local load), size a compile-time constant — the size-unknown 0-byte path is unreachable from the guard layer | identical to [`smr::SmrHandle::retire_sized`] |
+//! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_raw`]) | exactly the retire above: birth era read back from the node header (one thread-local load), size a compile-time [`node_size`] constant | identical to [`smr::SmrHandle::retire`] |
 //! | per handle drop | splice leftovers into the scheme's parked chain ([`segbag::SegBag::splice`]); park the pool + scratch on the scheme's [`handle_cache::HandleCache`]; retract the handle's reported byte contribution and move its leftover bytes to the governor's parked counter (two relaxed adds — leaked bytes stay visible, never stranded) | O(1) pointer surgery under a mutex — no allocation |
 //! | per snapshot (`Smr::stats`) | sum all counter stripes | O(N) loads — diagnostic path, never on the hot path |
 //! | per op, telemetry **disabled** (the default) | one relaxed load of the `enabled` flag at each record site — op begin ([`guard::Guard`] bracket), retire stamp, scan begin — then a branch away; no clock read, no stamp, no histogram touch | one read-mostly padded line shared by all record sites |
@@ -123,6 +126,43 @@
 //! scheme's [`handle_cache::HandleCache`] and the next registrant adopts them,
 //! so thread-pool churn (register → work → drop, repeatedly) is allocation-free
 //! after the pool's first generation of handles.
+//!
+//! ## Scheme kernel
+//!
+//! The seven reclaiming schemes (HP, Cadence, QSense, QSBR, EBR, HE, RC) and
+//! the Leaky baseline share one kernel ([`kernel`]); each scheme crate keeps
+//! only its **protocol**. The split:
+//!
+//! | the kernel owns | a protocol supplies |
+//! |-----------------|---------------------|
+//! | [`kernel::SchemeCore`]: the config, the seats (slot [`registry::Registry`] or [`stats::ShardedStats`]), the scheme stat stripe, the [`segbag::ParkedChain`], the [`handle_cache::HandleCache`], the [`budget::BudgetGovernor`], the [`telemetry::Telemetry`] and the scheme name; `try_register` → [`CapacityExhausted`]; `stats`/`budget_verdict`/`telemetry`; the drain of parked nodes on drop | its per-thread record (hazard slots, epoch, pin, era reservation, counter slots) and any scheme-wide protocol state (global epoch, era pacer, fallback flag, rooster) |
+//! | [`kernel::HandleCore`]: the seat, the segment pool, the budget stripe and its delta cursor, [`telemetry::HandleTelemetry`]; the retire stamp ([`kernel::HandleCore::stamp`]: retired/retired_bytes counters, [`retired::RetiredPtr`], retire tick); the threshold / budget ladder ([`kernel::HandleCore::rung`] → forced scan → [`kernel::HandleCore::backpressure`]); parked-chain adoption; the exit sequence | what [`SmrHandle::begin_op`] and [`SmrHandle::protect`] publish, where a stamped node is pushed (one bag, epoch buckets, era chains), and the "may this node be freed" rule its scan applies inside a [`kernel::Pass`] |
+//! | [`kernel::Pass`]: one reclamation pass — frees through the pool, feeds the scan observer, files freed/freed_bytes | the dispatch counters of its scan (`scans`, `scan_walks`, `scan_wholesale`, `scan_skips`) and its `quiescent_states` / `traversal_fences` |
+//!
+//! Everything is generic and `#[inline]`, so a scheme's hot path compiles to
+//! monomorphic code: no `dyn`, no boxing, and no shared load or atomic on
+//! `protect` or `retire` beyond what the protocol itself needs. HP, Cadence and
+//! QSense publish into one [`kernel::HazardRecord`] (HP's `protect` adds its
+//! fence); QSense frees through Cadence's aged-unprotected scan and QSBR's
+//! grace drain rather than copies of them.
+//!
+//! **Hook order on register.** [`kernel::HandleCore::register`] claims the seat
+//! (or reports [`CapacityExhausted`]), adopts a cached pool + scratch, and
+//! attaches telemetry; then the protocol neutralizes the record it now owns
+//! *before* the handle is returned: QSBR stores the current global epoch, EBR
+//! unpins, HE deactivates the reservation, QSense stores the epoch and marks
+//! itself active (lifting a stale eviction).
+//!
+//! **Hook order on exit.** A handle's drop first runs its protocol hooks —
+//! HP/Cadence clear their hazard slots and scan, RC drops its counter
+//! announcements and scans, QSBR/EBR/HE/QSense flush (HE's flush withdraws the
+//! reservation, QSense clears its hazard slots first and marks itself active
+//! last, while still the slot owner) and splice their buckets into one
+//! leftover chain — and only then [`kernel::HandleCore::exit`]: retract the
+//! handle's budget report, park the leftovers (their bytes move to the
+//! governor's parked counter), release the seat, recycle pool + scratch. The
+//! release is what publishes the neutral record to scanners (see the registry
+//! docs), so every protocol hook must precede it.
 //!
 //! ## Robustness verdicts
 //!
@@ -193,7 +233,8 @@
 //! protection of the expected successor rules out address-reuse ABA (the
 //! in-code notes at the `list::insert::pre_link_cas` and
 //! `bst::insert::pre_link_cas` pause points carry the per-structure argument,
-//! each pinned by a forced-schedule test in `tests/interleaving_harness.rs`).
+//! each pinned by a replayed explorer schedule in the workspace root's
+//! `tests/interleaving_harness.rs`).
 //!
 //! The skip list is the one structure where the pattern is *split*: `insert`'s
 //! phase-2 membership validation (`succs[0] == node`, level 0) and its link CAS
@@ -244,8 +285,8 @@
 //! unlink/re-link cycles of one node its own protection keeps alive — and
 //! retired nodes, the only dangerous targets, are never re-linked at all. The
 //! deterministic regression schedule (which re-linked a retired node on the
-//! pre-versioned skip list under hp, cadence, he and qsense alike) lives in
-//! `tests/interleaving_harness.rs`.
+//! pre-versioned skip list under hp, cadence, he and qsense alike) is replayed
+//! under each of them in the workspace root's `tests/interleaving_harness.rs`.
 //!
 //! ## Verification
 //!
@@ -293,8 +334,8 @@
 //! `thread@pause-point` schedule that produced it; to pin one as a
 //! regression, paste the trace into `reclaim_check::Explorer::replay`, which
 //! re-runs that single schedule deterministically (see
-//! `crates/reclaim-check/tests/replayed_schedules.rs` for the PR 4 races
-//! re-found this way).
+//! the workspace root's `tests/interleaving_harness.rs` for the validate→CAS
+//! window races re-found this way).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -306,6 +347,7 @@ pub mod clock;
 pub mod config;
 pub mod guard;
 pub mod handle_cache;
+pub mod kernel;
 pub mod leaky;
 pub mod lease;
 pub mod membarrier;
@@ -330,7 +372,8 @@ pub use clock::{
 };
 pub use config::SmrConfig;
 pub use guard::{Atomic, Guard, Owned, Shared, Unlinked};
-pub use handle_cache::{HandleCache, ScanParts};
+pub use handle_cache::HandleCache;
+pub use kernel::{HandleCore, HazardRecord, Pass, Protocol, Rung, SchemeCore, Seating};
 pub use leaky::{Leaky, LeakyHandle};
 pub use lease::{HandleLease, LeaseExhausted, LeasePolicy, LeasePool};
 pub use pad::CachePadded;
@@ -338,36 +381,47 @@ pub use registry::{Registry, RegistryFull, SlotId, SHARD_SLOTS};
 pub use retired::RetiredPtr;
 pub use scratch::PtrScratch;
 pub use segbag::{ParkedChain, SegBag, SegPool, SEG_CAP};
-pub use smr::{drop_fn_for, CapacityExhausted, Smr, SmrHandle};
+pub use smr::{drop_fn_for, node_size, CapacityExhausted, Smr, SmrHandle};
 pub use stats::{ShardedStats, StatStripe, StatsSnapshot};
 pub use telemetry::{
     HandleTelemetry, HistSnapshot, LogHistogram, ScanObserver, Telemetry, TelemetrySummary,
 };
 
 /// Convenience: retire a typed, heap-allocated (`Box`-originated) pointer through any
-/// [`SmrHandle`].
+/// [`SmrHandle`], unstamped ([`NO_BIRTH_ERA`]).
 ///
-/// Being typed, this knows the node's `Layout` and stamps its size
-/// (`size_of::<T>()`) into the retired record, feeding the limbo byte
-/// accounting; the raw [`SmrHandle::retire`] stays the size-unknown path.
+/// Being typed, this knows the node's size ([`node_size`]) and stamps it into
+/// the retired record, feeding the limbo byte accounting. A zero-sized `T`
+/// does not compile:
+///
+/// ```compile_fail,E0080
+/// use reclaim_core::{retire_box, Leaky, Smr};
+///
+/// let scheme = Leaky::with_defaults();
+/// let mut handle = scheme.register();
+/// // ERROR: zero-sized nodes cannot be retired.
+/// unsafe { retire_box(&mut handle, Box::into_raw(Box::new(()))) };
+/// ```
 ///
 /// # Safety
 ///
 /// `ptr` must have been created by `Box::into_raw`, must already be unlinked from the
 /// data structure, and must not be retired more than once.
 pub unsafe fn retire_box<T, H: SmrHandle + ?Sized>(handle: &mut H, ptr: *mut T) {
-    handle.retire_sized(
-        ptr.cast::<u8>(),
-        drop_fn_for::<T>(),
-        NO_BIRTH_ERA,
-        std::mem::size_of::<T>(),
-    );
+    // SAFETY: forwarded from the caller's contract.
+    unsafe {
+        handle.retire(
+            ptr.cast::<u8>(),
+            drop_fn_for::<T>(),
+            NO_BIRTH_ERA,
+            node_size::<T>(),
+        )
+    }
 }
 
 /// Convenience: retire a typed, heap-allocated pointer together with its
 /// allocation-time birth era (the stamp [`SmrHandle::alloc_node`] produced when
-/// the node was created; see [`SmrHandle::retire_with_birth`]) and its size
-/// (`size_of::<T>()`, for the limbo byte accounting).
+/// the node was created) and its size ([`node_size`]).
 ///
 /// # Safety
 ///
@@ -378,10 +432,13 @@ pub unsafe fn retire_box_with_birth<T, H: SmrHandle + ?Sized>(
     ptr: *mut T,
     birth_era: Era,
 ) {
-    handle.retire_sized(
-        ptr.cast::<u8>(),
-        drop_fn_for::<T>(),
-        birth_era,
-        std::mem::size_of::<T>(),
-    );
+    // SAFETY: forwarded from the caller's contract.
+    unsafe {
+        handle.retire(
+            ptr.cast::<u8>(),
+            drop_fn_for::<T>(),
+            birth_era,
+            node_size::<T>(),
+        )
+    };
 }

@@ -20,8 +20,9 @@
 //!    plain `SeqCst` fence on the rooster thread plus the language-level guarantee
 //!    that atomic stores become visible to other threads in finite time. On x86-TSO
 //!    store buffers drain in nanoseconds while `T` is milliseconds, so the deferred
-//!    reclamation wait of `T + ε` dominates by orders of magnitude. DESIGN.md §3
-//!    documents this substitution.
+//!    reclamation wait of `T + ε` dominates by orders of magnitude. These module
+//!    docs are the record of this substitution (the `cadence` crate docs cite
+//!    them).
 //!
 //! The syscall is issued directly (no `libc` dependency) on x86-64 and aarch64 Linux.
 

@@ -25,11 +25,10 @@ pub type DropFn = unsafe fn(*mut u8);
 /// the allocation site stamped the node through `SmrHandle::alloc_node` — the
 /// era schemes treat an unstamped node as born before every announced era,
 /// which is conservative (wider lifetime interval, never freed early).
-/// `size` is the node's allocation size in bytes, stamped at retire by the
-/// typed `retire_box*` entry points (which know the `Layout`); the raw
-/// `retire` path stamps [`SIZE_UNKNOWN`] and such nodes count zero bytes
-/// toward limbo budgets — byte budgets are only as complete as the callers'
-/// stamping, never *over*-counted.
+/// `size` is the node's allocation size in bytes: every scheme retire stamps
+/// the non-zero size `SmrHandle::retire` receives; only the bare test
+/// constructors ([`new`](Self::new), [`with_birth`](Self::with_birth)) stamp
+/// [`SIZE_UNKNOWN`], which weighs zero toward limbo budgets.
 pub struct RetiredPtr {
     ptr: *mut u8,
     drop_fn: DropFn,
@@ -42,9 +41,8 @@ pub struct RetiredPtr {
     tick: u32,
 }
 
-/// The size stamp of a node retired through the raw, size-unaware `retire`
-/// path (also the honest stamp for zero-sized types). Budget accounting
-/// treats these nodes as zero bytes.
+/// The size stamp of a wrapper built without a size ([`RetiredPtr::new`],
+/// [`RetiredPtr::with_birth`]). Budget accounting treats these as zero bytes.
 pub const SIZE_UNKNOWN: u32 = 0;
 
 // A RetiredPtr is just a deferred destructor call; the node it points to is already
@@ -83,8 +81,8 @@ impl RetiredPtr {
     }
 
     /// Wraps a retired node with its birth era *and* its allocation size in
-    /// bytes — the fully stamped constructor the typed `retire_box*` entry
-    /// points use. `size_bytes` of zero means "unknown" ([`SIZE_UNKNOWN`]);
+    /// bytes — the fully stamped constructor every scheme retire uses
+    /// ([`crate::kernel::HandleCore::stamp`]). `size_bytes` of zero means "unknown" ([`SIZE_UNKNOWN`]);
     /// sizes past `u32::MAX` are clamped to `u32::MAX` (a single ≥ 4 GiB node
     /// is outside this substrate's design envelope; the clamp keeps the
     /// accounting bounded rather than wrapping).

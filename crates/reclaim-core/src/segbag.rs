@@ -50,9 +50,9 @@
 //! Every bag maintains a running total of its nodes' stamped allocation sizes
 //! ([`SegBag::bytes`]), updated on push, splice and reclaim, so "how much
 //! memory does this limbo list pin" is an O(1) read — the primitive the
-//! scheme-wide limbo *byte* budgets are built on. Nodes retired through the
-//! size-unknown raw path weigh zero (see [`RetiredPtr::size_bytes`]): the
-//! total under-counts, never over-counts.
+//! scheme-wide limbo *byte* budgets are built on. Every scheme retire carries
+//! a non-zero size (`SmrHandle::retire` takes a `NonZeroUsize`); only
+//! wrappers built directly with [`RetiredPtr::new`] weigh zero.
 //!
 //! ## Safety model
 //!

@@ -11,7 +11,7 @@
 //! |------------|--------------|--------------------|
 //! | `manage_qsense_state()` | [`SmrHandle::begin_op`] | call in states where no shared references are held — i.e. at the start of every data-structure operation |
 //! | `assign_HP(node, i)` | [`SmrHandle::protect`] | call before using a reference to a node, then re-validate the reference |
-//! | `free_node_later(node)` | [`SmrHandle::retire`] | call where `free` would be called sequentially, after the node is unlinked |
+//! | `free_node_later(node)` | [`SmrHandle::retire`] | call where `free` would be called sequentially, after the node is unlinked; the node's birth era and non-zero byte size travel with it |
 //!
 //! ## The allocation-side hook
 //!
@@ -21,12 +21,15 @@
 //! that its lifetime interval `[birth, retire]` can later be tested against
 //! readers' announced eras. [`SmrHandle::alloc_node`] is that hook: data
 //! structures call it at every node allocation site, store the returned stamp
-//! in the node, and pass the stamp back through
-//! [`SmrHandle::retire_with_birth`] when the node is unlinked. For the seven
-//! non-era schemes both are free: `alloc_node` defaults to returning
-//! [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) without touching shared state,
-//! and `retire_with_birth` defaults to discarding the stamp and delegating to
-//! [`retire`](SmrHandle::retire).
+//! in the node, and pass the stamp back through [`SmrHandle::retire`] when the
+//! node is unlinked. For the seven non-era schemes `alloc_node` defaults to
+//! returning [`NO_BIRTH_ERA`] without touching
+//! shared state, and the stamp they receive at retire is simply carried along.
+//!
+//! Every scheme implements these traits on top of the shared kernel
+//! ([`crate::kernel`]; see "Scheme kernel" in the crate docs), supplying only
+//! its protocol: what `begin_op`/`protect` publish and the rule its scan
+//! applies before freeing a node.
 
 use crate::budget::BudgetVerdict;
 use crate::clock::{Era, NO_BIRTH_ERA};
@@ -35,6 +38,7 @@ use crate::stats::StatsSnapshot;
 use crate::telemetry::Telemetry;
 use std::error::Error;
 use std::fmt;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -160,69 +164,62 @@ pub trait SmrHandle: Send {
     /// stalled reader can pin).
     ///
     /// Data structures call this once per node allocation, store the returned
-    /// value in the node, and hand it back via
-    /// [`retire_with_birth`](Self::retire_with_birth) when the node is
-    /// unlinked. The default implementation returns
-    /// [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) and touches nothing — the
+    /// value in the node, and hand it back via [`retire`](Self::retire) when
+    /// the node is unlinked. The default implementation returns
+    /// [`NO_BIRTH_ERA`] and touches nothing — the
     /// no-op for every non-era scheme.
     fn alloc_node(&mut self) -> Era {
         NO_BIRTH_ERA
     }
 
-    /// Hands an unlinked node to the scheme for deferred reclamation — the paper's
-    /// `free_node_later`.
+    /// Hands an unlinked node to the scheme for deferred reclamation — the
+    /// paper's `free_node_later` — together with its allocation-time birth era
+    /// (the value [`alloc_node`](Self::alloc_node) returned when the node was
+    /// created, or [`NO_BIRTH_ERA`]) and its
+    /// allocation size in bytes. Era schemes bound the node's lifetime
+    /// interval `[birth, retire]` with the stamp; every scheme counts the size
+    /// toward its limbo bytes.
+    ///
+    /// The size is a [`NonZeroUsize`]: a retire whose size is unknown (or
+    /// zero) does not compile, so byte budgets can never silently
+    /// under-count. The typed entry points ([`Unlinked::retire`](crate::Unlinked::retire),
+    /// [`crate::retire_box`]) derive it from the node's type:
+    ///
+    /// ```
+    /// use reclaim_core::{drop_fn_for, node_size, Leaky, Smr, SmrHandle, NO_BIRTH_ERA};
+    ///
+    /// let scheme = Leaky::with_defaults();
+    /// let mut handle = scheme.register();
+    /// let node = Box::into_raw(Box::new(7_u64));
+    /// // SAFETY: fresh from `Box::into_raw`, never linked, retired once.
+    /// unsafe { handle.retire(node.cast(), drop_fn_for::<u64>(), NO_BIRTH_ERA, node_size::<u64>()) };
+    /// assert_eq!(scheme.stats().retired_bytes, 8);
+    /// ```
+    ///
+    /// A bare byte count — including `0`, i.e. "size unknown" — is rejected
+    /// by the compiler:
+    ///
+    /// ```compile_fail,E0308
+    /// use reclaim_core::{drop_fn_for, Leaky, Smr, SmrHandle, NO_BIRTH_ERA};
+    ///
+    /// let scheme = Leaky::with_defaults();
+    /// let mut handle = scheme.register();
+    /// let node = Box::into_raw(Box::new(7_u64));
+    /// // ERROR: expected `NonZeroUsize`, found integer.
+    /// unsafe { handle.retire(node.cast(), drop_fn_for::<u64>(), NO_BIRTH_ERA, 0) };
+    /// ```
     ///
     /// # Safety
     ///
     /// * `ptr` must have been unlinked from the data structure before the call (the
     ///   node is in the *removed* state);
     /// * the same pointer must not be retired twice;
-    /// * `drop_fn(ptr)` must correctly release the node.
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn);
-
-    /// Like [`retire`](Self::retire), but also passes the node's allocation-time
-    /// birth era (the value [`alloc_node`](Self::alloc_node) returned when the
-    /// node was created). Era schemes use it to bound the node's lifetime
-    /// interval `[birth, retire]`; the default implementation discards the
-    /// stamp and delegates to `retire`.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`retire`](Self::retire). `birth_era` must be the stamp
-    /// `alloc_node` produced for this node, or
-    /// [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) (always safe: the era
-    /// schemes treat an unstamped node as born before every announced era).
-    unsafe fn retire_with_birth(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era) {
-        let _ = birth_era;
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire(ptr, drop_fn) }
-    }
-
-    /// The fully stamped retire: birth era *and* allocation size in bytes.
-    /// The typed [`retire_box`](crate::retire_box) /
-    /// [`retire_box_with_birth`](crate::retire_box_with_birth) entry points
-    /// route through here (they know the `Layout`); schemes that account
-    /// limbo in bytes override this as their primary retire path and route
-    /// the size-unknown variants through it with a zero stamp. The default
-    /// discards the size and delegates to
-    /// [`retire_with_birth`](Self::retire_with_birth).
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`retire_with_birth`](Self::retire_with_birth);
-    /// additionally `size_bytes` must not exceed the node's actual allocation
-    /// size (0 = unknown, never over-stated).
-    unsafe fn retire_sized(
-        &mut self,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        birth_era: Era,
-        size_bytes: usize,
-    ) {
-        let _ = size_bytes;
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire_with_birth(ptr, drop_fn, birth_era) }
-    }
+    /// * `drop_fn(ptr)` must correctly release the node;
+    /// * `birth_era` must be the node's `alloc_node` stamp or `NO_BIRTH_ERA`
+    ///   (always safe: the era schemes treat an unstamped node as born before
+    ///   every announced era);
+    /// * `size` must not exceed the node's actual allocation size.
+    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size: NonZeroUsize);
 
     /// Forces a best-effort reclamation pass over this thread's retired nodes,
     /// regardless of thresholds. Useful at the end of a benchmark phase and in tests.
@@ -252,6 +249,23 @@ pub trait SmrHandle: Send {
     /// the guard's drop with the instant `telemetry_op_begin` returned.
     fn telemetry_op_end(&mut self, started: Instant) {
         let _ = started;
+    }
+}
+
+/// `size_of::<T>()` as the [`NonZeroUsize`] a retire of a `T` node carries.
+/// Zero-sized `T` is rejected at compile time: nothing could be counted, and
+/// a retire must always account real bytes.
+///
+/// ```compile_fail,E0080
+/// let _ = reclaim_core::node_size::<()>();
+/// ```
+#[inline(always)]
+pub const fn node_size<T>() -> NonZeroUsize {
+    const {
+        match NonZeroUsize::new(std::mem::size_of::<T>()) {
+            Some(size) => size,
+            None => panic!("zero-sized nodes cannot be retired"),
+        }
     }
 }
 

@@ -39,7 +39,6 @@ const R: Ordering = Ordering::Relaxed;
 pub struct StatStripe {
     retired: AtomicU64,
     freed: AtomicU64,
-    size_unknown_retires: AtomicU64,
     retired_bytes: AtomicU64,
     freed_bytes: AtomicU64,
     scans: AtomicU64,
@@ -59,13 +58,8 @@ pub struct StatsSnapshot {
     pub retired: u64,
     /// Nodes whose destructor has actually run.
     pub freed: u64,
-    /// Retires that reached the scheme without a byte size (`size_bytes == 0`,
-    /// the sealed legacy path). The guard layer always stamps sizes, so every
-    /// structure built on it pins this at zero; a non-zero value means some
-    /// call site bypassed the sized birth-era-stamped path.
-    pub size_unknown_retires: u64,
-    /// Stamped allocation bytes handed to `retire` (size-unknown nodes add
-    /// zero; see `RetiredPtr::size_bytes`).
+    /// Stamped allocation bytes handed to `retire` (each retire carries a
+    /// non-zero size).
     pub retired_bytes: u64,
     /// Stamped allocation bytes actually released.
     pub freed_bytes: u64,
@@ -152,13 +146,6 @@ impl StatStripe {
         self.retired_bytes.fetch_add(n, R);
     }
 
-    /// Records one retire that arrived without a byte size (the sealed
-    /// size-unknown path; see [`StatsSnapshot::size_unknown_retires`]).
-    #[inline]
-    pub fn add_size_unknown_retire(&self) {
-        self.size_unknown_retires.fetch_add(1, R);
-    }
-
     /// Records `n` stamped bytes freed. Release for the same reason as
     /// [`add_freed`](Self::add_freed): paired with the acquire freed-first
     /// read in [`merge_into`](Self::merge_into), a snapshot can never report
@@ -226,7 +213,6 @@ impl StatStripe {
     pub fn merge_into(&self, snap: &mut StatsSnapshot) {
         snap.freed += self.freed.load(Ordering::Acquire);
         snap.retired += self.retired.load(R);
-        snap.size_unknown_retires += self.size_unknown_retires.load(R);
         snap.freed_bytes += self.freed_bytes.load(Ordering::Acquire);
         snap.retired_bytes += self.retired_bytes.load(R);
         snap.scans += self.scans.load(R);
@@ -319,7 +305,6 @@ mod tests {
         let stats = StatStripe::new();
         stats.add_retired(10);
         stats.add_freed(4);
-        stats.add_size_unknown_retire();
         stats.add_retired_bytes(640);
         stats.add_freed_bytes(256);
         stats.add_scan();
@@ -337,7 +322,6 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.retired, 10);
         assert_eq!(snap.freed, 4);
-        assert_eq!(snap.size_unknown_retires, 1);
         assert_eq!(snap.in_limbo(), 6);
         assert_eq!(snap.retired_bytes, 640);
         assert_eq!(snap.freed_bytes, 256);

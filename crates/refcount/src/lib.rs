@@ -13,8 +13,8 @@
 //! that it can be dropped into the same benchmarks as the paper's schemes. Because
 //! the interface is type-erased (nodes carry no scheme-specific fields), the
 //! per-node counters are kept in a shared address-indexed table rather than inside
-//! the nodes; see [`table`] for why this preserves both the safety argument and the
-//! cost profile. DESIGN.md records the substitution.
+//! the nodes; the [`table`] module docs record the substitution and why it
+//! preserves both the safety argument and the cost profile.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -106,8 +106,9 @@ impl Structure {
         }
     }
 
-    /// The key range this reproduction uses by default (the BST is scaled down so
-    /// that initialization fits the container; see DESIGN.md §3).
+    /// The key range this reproduction uses by default (the BST is scaled down
+    /// from [`paper_key_range`](Self::paper_key_range) so that initialization
+    /// fits a small machine).
     pub fn default_key_range(&self) -> u64 {
         match self {
             Structure::List => 2_000,

@@ -143,10 +143,9 @@ fn main() {
     println!("mini-stack (guard API, ~60 lines, 2 unsafe blocks):");
     println!("  nodes retired            : {}", mini_stats.retired);
     println!(
-        "  size-unknown retires     : {} (the guard layer seals the 0-byte path)",
-        mini_stats.size_unknown_retires
+        "  bytes retired            : {} (every retire carries its node size)",
+        mini_stats.retired_bytes
     );
-    assert_eq!(mini_stats.size_unknown_retires, 0);
     drop(stack);
 
     // ---- Act 2: a ready-made structure under load -------------------------
@@ -198,6 +197,5 @@ fn main() {
     println!("  quiescent states         : {}", stats.quiescent_states);
     println!("  fallback switches        : {}", stats.fallback_switches);
     assert!(stats.freed <= stats.retired);
-    assert_eq!(stats.size_unknown_retires, 0);
     println!("ok: reclamation accounting is consistent");
 }

@@ -1,204 +1,245 @@
-//! Deterministic interleaving regression tests.
+//! Deterministic interleaving regression tests for the structures'
+//! validate→CAS windows, driven by the `reclaim-check` explorer:
 //!
-//! These tests use the `lockfree_ds::interleave` harness (cfg-gated pause
-//! points at the validate/CAS boundaries of every structure) to force, every
-//! run, the thread schedules that stress tests cross only once in millions of
-//! operations. Each test documents the window it drives and the invariant that
-//! makes (or made) the window dangerous.
+//! 1. skip-list upper-level re-link (a complete remove inside insert's
+//!    validate→CAS window at `skiplist::insert::upper::pre_link_cas`), under
+//!    HP, Cadence, HE and QSense — the four schemes the pre-versioning bug
+//!    broke;
+//! 2. list successor removal and 3. list predecessor removal inside
+//!    `list::insert::pre_link_cas`;
+//! 4. BST target-leaf removal and 5. BST parent splice-out inside
+//!    `bst::insert::pre_link_cas`.
 //!
-//! The headline schedule is the **skip-list upper-level re-link race**: a
-//! complete `remove` (mark all levels + sweep + retire) slipped between
-//! `insert`'s per-level validation (`succs[0] == node`) and its
-//! `pred.next[level]` CAS. On the pre-versioned-link skip list this schedule
-//! re-linked a *retired* node at an upper level (the assertion below failed
-//! with the victim's address present in the level-1 chain); with versioned
-//! links + remove's upper-level bump pass the stale CAS loses its version
-//! validation and the victim stays unreachable, under every scheme.
-//!
-//! The harness hooks are process-global, so every test here serializes on
-//! [`schedule_lock`].
+//! Each test asks the explorer to *find* a schedule in which the remover's
+//! retire crosses the inserter's open window, then replays the recorded
+//! schedule and lets the scenario's invariant check (and, with the
+//! `check-oracle` feature, the shadow heap) judge the outcome; the list and
+//! BST tests also assert the inserter's stale CAS failed and retried. The
+//! fixed structures must survive every one. The explorer installs the process-global
+//! `lockfree_ds::interleave` scheduler and serializes explorations itself.
 
-use lockfree_ds::interleave::Trap;
-use lockfree_ds::{HarrisMichaelList, LockFreeBst, LockFreeSkipList, SKIPLIST_HP_SLOTS};
-use reclaim_core::{Smr, SmrConfig};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::thread;
+use lockfree_ds::{
+    HarrisMichaelList, LockFreeBst, LockFreeSkipList, BST_HP_SLOTS, LIST_HP_SLOTS,
+    SKIPLIST_HP_SLOTS,
+};
+use reclaim_check::{schedule_of, Explorer, Scenario, ScenarioRun, Step, SPAWN_POINT};
+use reclaim_core::{Smr, SmrConfig, SmrHandle};
+use std::sync::Arc;
 
-/// Serializes the tests in this binary: the pause-point registry is global.
-fn schedule_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
+/// A scheme constructor (`Hazard::new`, `Cadence::new`, ...).
+type Make<S> = fn(SmrConfig) -> Arc<S>;
 
-/// A scheme config that never frees during the schedule: scans and quiescent
-/// bookkeeping are pushed past the horizon so the post-schedule structure walk
-/// (addresses only) is safe even when a schedule exposes a bug, and the forced
-/// window is not perturbed by reclamation work inside `begin_op`.
-fn deferred_config() -> SmrConfig {
-    SmrConfig::for_skiplist()
-        .with_max_threads(4)
-        .with_hp_per_thread(SKIPLIST_HP_SLOTS)
-        .with_scan_threshold(1 << 30)
-        .with_quiescence_threshold(1 << 30)
-        .with_fallback_threshold(1 << 30)
+fn config(hp_slots: usize) -> SmrConfig {
+    SmrConfig::default()
+        .with_max_threads(8)
+        .with_hp_per_thread(hp_slots)
+        .with_scan_threshold(1)
+        .with_quiescence_threshold(1)
+        .with_fallback_threshold(4)
         .with_rooster_threads(0)
 }
 
-/// Forces the skip-list schedule:
+/// True if the trace contains the forced window: thread 0 parks at
+/// `window_point` and, before it is granted again, thread 1 is granted at
+/// every one of `inside_points` (the grants that run the remove's mark,
+/// unlink and retire).
 ///
-/// 1. thread A runs `insert_with_height(10, 2)`: phase 1 links the node at
-///    level 0, phase 2 validates `succs[0] == node` for level 1 and parks at
-///    the pause point immediately before the `pred.next[1]` CAS;
-/// 2. the main thread runs `remove(&10)` to completion — logical deletion of
-///    every level, physical sweep, retire;
-/// 3. thread A is released and takes (or, fixed: fails) its stale CAS.
-///
-/// Returns the victim's address and the level-1 chain after both threads
-/// finished, so callers can assert the victim was not re-linked.
-fn force_skiplist_relink_schedule<S: Smr>(scheme: Arc<S>) -> (usize, Vec<usize>) {
-    let set = Arc::new(LockFreeSkipList::<u64, S>::new(scheme));
-    let mut main_handle = set.register();
-
-    // Neighbor keys so the victim has non-sentinel predecessors at level 0.
-    assert!(set.insert(5, &mut main_handle));
-
-    let trap = Trap::arm("skiplist::insert::upper::pre_link_cas");
-    let inserter = {
-        let set = Arc::clone(&set);
-        thread::spawn(move || {
-            let mut handle = set.register();
-            // Forced height 2: the node must have an upper level to link.
-            assert!(
-                set.insert_with_height(10, 2, &mut handle),
-                "level-0 linking (the linearization point) must succeed"
-            );
-        })
-    };
-
-    // Window open: the inserter has validated `succs[0] == node` for level 1
-    // and sits right before its pred-link CAS.
-    trap.wait_for_parked();
-
-    // The victim is the unique key-10 node: last in level-0 order (after 5),
-    // currently linked at level 0 only.
-    let level0_before = set.level_addrs(0);
-    assert_eq!(
-        level0_before.len(),
-        2,
-        "keys 5 and 10 are linked at level 0"
-    );
-    let victim = *level0_before.last().unwrap();
-
-    // A complete remove slips through the window: marks every level, sweeps
-    // the victim out of the level-0 chain, and retires it.
-    assert!(
-        set.remove(&10, &mut main_handle),
-        "the remover owns the level-0 logical deletion"
-    );
-    assert!(
-        !set.level_addrs(0).contains(&victim),
-        "after remove the victim is physically unlinked from level 0"
-    );
-
-    // Close the window: the inserter resumes with its stale validation.
-    trap.release();
-    inserter.join().unwrap();
-
-    let level1_after = set.level_addrs(1);
-    (victim, level1_after)
+/// Grants are fully serialized, so every thread-1 step strictly between two
+/// thread-0 steps runs while thread 0 sits parked at the later step's point.
+fn window_crossed(trace: &[Step], window_point: &str, inside_points: &[&str]) -> bool {
+    let mut last_t0: Option<usize> = None;
+    for (i, step) in trace.iter().enumerate() {
+        if step.thread == 0 {
+            if step.point == window_point {
+                if let Some(a) = last_t0 {
+                    let inside = &trace[a + 1..i];
+                    if inside_points
+                        .iter()
+                        .all(|p| inside.iter().any(|s| s.thread == 1 && s.point == *p))
+                    {
+                        return true;
+                    }
+                }
+            }
+            last_t0 = Some(i);
+        }
+    }
+    false
 }
 
-/// The invariant the race breaks: once `remove` has retired the victim, no
-/// level may ever link it again — a reader traversing the upper level could
-/// otherwise validate a protection for (and dereference) freed memory.
-fn assert_victim_not_relinked<S: Smr>(scheme: Arc<S>, scheme_name: &str) {
-    let _serial = schedule_lock();
-    let (victim, level1) = force_skiplist_relink_schedule(scheme);
+/// Asserts thread 0 reached the CAS pause point `point` at least twice in
+/// `trace`: its first (stale) CAS failed and the operation retried.
+fn assert_retried(trace: &[Step], point: &str) {
+    let reached = trace
+        .iter()
+        .filter(|s| s.thread == 0 && s.point == point)
+        .count();
     assert!(
-        !level1.contains(&victim),
-        "{scheme_name}: retired victim {victim:#x} was re-linked at level 1 \
-         by a stale insert CAS (upper-level re-link race): level 1 = {level1:x?}"
+        reached >= 2,
+        "the stale CAS at {point} must fail and retry (arrivals = {reached})"
+    );
+}
+
+/// Finds a schedule matching the window predicate, replays it from the
+/// recorded thread-id sequence, checks the replayed trace still crosses the
+/// window, and returns it.
+fn find_and_replay(
+    scenario: &Scenario,
+    window_point: &'static str,
+    inside_points: &[&'static str],
+) -> Vec<Step> {
+    let explorer = Explorer::new();
+    let trace = explorer
+        .explore_until(scenario, |t| window_crossed(t, window_point, inside_points))
+        .unwrap_or_else(|failure| panic!("{failure}"))
+        .unwrap_or_else(|| {
+            panic!("no schedule crosses {inside_points:?} through the {window_point} window within the preemption bound")
+        });
+
+    // The recorded schedule replays deterministically and stays clean — on
+    // the pre-versioning structures this exact schedule was the UAF.
+    let replayed = explorer
+        .replay(scenario, &schedule_of(&trace))
+        .unwrap_or_else(|failure| panic!("replay of the recorded schedule failed: {failure}"));
+    assert_eq!(replayed, trace, "prefix replay reproduces the found trace");
+    assert!(
+        window_crossed(&replayed, window_point, inside_points),
+        "the replayed schedule still crosses the window"
+    );
+    replayed
+}
+
+/// Thread 0 inserts a height-2 node; thread 1 runs a complete remove of the
+/// same key. The dangerous schedule parks the inserter between its upper-level
+/// validation and CAS while the remove marks, sweeps and retires the node.
+fn skiplist_relink_scenario<S: Smr>(name: &'static str, make: Make<S>) -> Scenario {
+    Scenario::new(format!("replayed/skiplist-relink/{name}"), move || {
+        let set = Arc::new(LockFreeSkipList::<u64, S>::new(make(config(
+            SKIPLIST_HP_SLOTS,
+        ))));
+        let mut h = set.register();
+        assert!(set.insert_with_height(5, 1, &mut h));
+        drop(h);
+        let inserter = Arc::clone(&set);
+        let remover = Arc::clone(&set);
+        ScenarioRun::new()
+            .thread(move || {
+                let mut h = inserter.register();
+                assert!(
+                    inserter.insert_with_height(10, 2, &mut h),
+                    "10 is unclaimed"
+                );
+                h.flush();
+            })
+            .thread(move || {
+                // May run before the level-0 link: then there is nothing to
+                // remove yet and the schedule is not the one we search for.
+                let mut h = remover.register();
+                let _ = remover.remove(&10, &mut h);
+                h.flush();
+            })
+            .check(move || {
+                // The invariant the race breaks: once `remove` has retired
+                // the victim, no level may ever link it again — a reader
+                // traversing the upper level could otherwise validate a
+                // protection for (and dereference) freed memory.
+                let level0 = set.level_addrs(0);
+                let level1 = set.level_addrs(1);
+                assert!(
+                    level1.iter().all(|node| level0.contains(node)),
+                    "{name}: a node absent from level 0 was re-linked at level 1 by a \
+                     stale insert CAS (upper-level re-link race): level 0 = {level0:x?}, \
+                     level 1 = {level1:x?}"
+                );
+                let mut h = set.register();
+                assert!(set.contains(&5, &mut h), "bystander survives");
+                // 10's membership depends on whether the remove caught the
+                // insert; the set must merely be consistent about it.
+                let present = set.contains(&10, &mut h);
+                assert_eq!(set.len(&mut h), 1 + usize::from(present));
+            })
+    })
+}
+
+fn assert_skiplist_relink_replays_clean<S: Smr>(name: &'static str, make: Make<S>) {
+    find_and_replay(
+        &skiplist_relink_scenario(name, make),
+        "skiplist::insert::upper::pre_link_cas",
+        &["skiplist::remove::pre_retire"],
     );
 }
 
 #[test]
 fn skiplist_remove_between_validate_and_cas_is_harmless_under_hp() {
-    assert_victim_not_relinked(hazard::Hazard::new(deferred_config()), "hp");
+    assert_skiplist_relink_replays_clean("hp", hazard::Hazard::new);
 }
 
 #[test]
 fn skiplist_remove_between_validate_and_cas_is_harmless_under_cadence() {
-    assert_victim_not_relinked(cadence::Cadence::new(deferred_config()), "cadence");
+    assert_skiplist_relink_replays_clean("cadence", cadence::Cadence::new);
 }
 
 #[test]
 fn skiplist_remove_between_validate_and_cas_is_harmless_under_he() {
-    assert_victim_not_relinked(he::He::new(deferred_config()), "he");
+    assert_skiplist_relink_replays_clean("he", he::He::new);
 }
 
 #[test]
 fn skiplist_remove_between_validate_and_cas_is_harmless_under_qsense() {
-    assert_victim_not_relinked(qsense::QSense::new(deferred_config()), "qsense");
+    assert_skiplist_relink_replays_clean("qsense", qsense::QSense::new);
 }
 
-// ---------------------------------------------------------------------------
-// Audit: the analogous validate-then-CAS windows in the linked list. These are
-// closed *without* versioned links because the insert CAS targets the very
-// link the search validated (see the in-code note at the pause point in
-// `list.rs`); the schedules below prove the stale CAS fails and the insert
-// recovers by retrying.
-// ---------------------------------------------------------------------------
+/// List scenario: thread 0 inserts 10 between 5 and 15; thread 1 removes
+/// `victim` (5 = predecessor, 15 = successor of the pending link).
+fn list_scenario(victim: u64) -> Scenario {
+    Scenario::new(format!("replayed/list-remove-{victim}"), move || {
+        let set = Arc::new(HarrisMichaelList::<u64, hazard::Hazard>::new(
+            hazard::Hazard::new(config(LIST_HP_SLOTS)),
+        ));
+        let mut h = set.register();
+        assert!(set.insert(5, &mut h));
+        assert!(set.insert(15, &mut h));
+        drop(h);
+        let inserter = Arc::clone(&set);
+        let remover = Arc::clone(&set);
+        ScenarioRun::new()
+            .thread(move || {
+                let mut h = inserter.register();
+                assert!(inserter.insert(10, &mut h), "10 is unclaimed");
+                h.flush();
+            })
+            .thread(move || {
+                let mut h = remover.register();
+                assert!(remover.remove(&victim, &mut h), "victim was prefilled");
+                h.flush();
+            })
+            .check(move || {
+                let mut h = set.register();
+                assert!(set.contains(&10, &mut h), "insert survives the removal");
+                assert!(!set.contains(&victim, &mut h), "victim is gone");
+                assert_eq!(set.len(&mut h), 2);
+            })
+    })
+}
 
-/// Parks an inserter of key 10 (between 5 and 15) right before its link CAS,
-/// completes `remove(&removed_key)` on the main thread, then releases the
-/// inserter. `Trap::arrivals() >= 2` proves the stale CAS failed and the
-/// insert went around its retry loop — the window closed the safe way.
-fn force_list_schedule(removed_key: u64) {
-    let _serial = schedule_lock();
-    let set = Arc::new(HarrisMichaelList::<u64, _>::new(hazard::Hazard::new(
-        deferred_config(),
-    )));
-    let mut main_handle = set.register();
-    assert!(set.insert(5, &mut main_handle));
-    assert!(set.insert(15, &mut main_handle));
-
-    let trap = Trap::arm("list::insert::pre_link_cas");
-    let inserter = {
-        let set = Arc::clone(&set);
-        thread::spawn(move || {
-            let mut handle = set.register();
-            assert!(set.insert(10, &mut handle), "insert must eventually win");
-        })
-    };
-    trap.wait_for_parked();
-    // The window: the inserter holds a validated (prev = 5, curr = 15)
-    // position; a complete remove (mark + unlink + retire) slips through it.
-    assert!(set.remove(&removed_key, &mut main_handle));
-    trap.release();
-    inserter.join().unwrap();
-
-    assert!(
-        trap.arrivals() >= 2,
-        "the stale CAS must fail and retry (arrivals = {})",
-        trap.arrivals()
+/// Finds and replays a schedule in which the remover's *complete* operation —
+/// the spawn grant (search + logical-delete mark) and the unlink grant — runs
+/// inside the inserter's validate→CAS window, and asserts the stale link CAS
+/// failed and the insert retried.
+fn assert_list_window_retries(victim: u64) {
+    let trace = find_and_replay(
+        &list_scenario(victim),
+        "list::insert::pre_link_cas",
+        &[SPAWN_POINT, "list::remove::pre_unlink_cas"],
     );
-    assert!(set.contains(&10, &mut main_handle));
-    assert!(!set.contains(&removed_key, &mut main_handle));
-    let survivors = [5_u64, 15]
-        .iter()
-        .filter(|k| **k != removed_key)
-        .filter(|k| set.contains(k, &mut main_handle))
-        .count();
-    assert_eq!(survivors, 1, "the untouched neighbour must survive");
+    assert_retried(&trace, "list::insert::pre_link_cas");
 }
 
 #[test]
 fn list_insert_survives_successor_removed_in_the_window() {
     // Removing `curr` (15) swings `prev.next` to its successor: the stale CAS
     // expecting 15 fails on pointer inequality.
-    force_list_schedule(15);
+    assert_list_window_retries(15);
 }
 
 #[test]
@@ -206,60 +247,66 @@ fn list_insert_survives_predecessor_removed_in_the_window() {
     // Removing `prev` (5) marks its outgoing pointer: the stale CAS fails on
     // the mark bit even though the pointer half still reads `curr` — the
     // reason the mark lives in the *outgoing* link.
-    force_list_schedule(5);
+    assert_list_window_retries(5);
 }
 
-// ---------------------------------------------------------------------------
-// Audit: the analogous windows in the external BST. Closed without versions
-// because removal dirties (flags/tags) the exact edge word the insert CAS
-// expects clean (see the in-code note at the pause point in `bst.rs`).
-// ---------------------------------------------------------------------------
+/// BST scenario: prefill `{low, high}`, thread 0 inserts `key` (routing along
+/// the edge toward `low`'s leaf), thread 1 removes `victim`. The remove has no
+/// pause point of its own — the whole operation runs inside the grant released
+/// from its spawn park, so the window predicate keys on `SPAWN_POINT`.
+fn bst_scenario(low: u64, high: u64, key: u64, victim: u64) -> Scenario {
+    let name = format!("replayed/bst-{low}-{high}-insert-{key}-remove-{victim}");
+    Scenario::new(name, move || {
+        let set = Arc::new(LockFreeBst::<u64, hazard::Hazard>::new(
+            hazard::Hazard::new(config(BST_HP_SLOTS)),
+        ));
+        let mut h = set.register();
+        assert!(set.insert(low, &mut h));
+        assert!(set.insert(high, &mut h));
+        drop(h);
+        let inserter = Arc::clone(&set);
+        let remover = Arc::clone(&set);
+        ScenarioRun::new()
+            .thread(move || {
+                let mut h = inserter.register();
+                assert!(inserter.insert(key, &mut h), "{key} is unclaimed");
+                h.flush();
+            })
+            .thread(move || {
+                let mut h = remover.register();
+                assert!(remover.remove(&victim, &mut h), "{victim} was prefilled");
+                h.flush();
+            })
+            .check(move || {
+                let mut h = set.register();
+                let untouched = if victim == low { high } else { low };
+                assert!(set.contains(&untouched, &mut h), "bystander survives");
+                assert!(set.contains(&key, &mut h), "insert survives the removal");
+                assert!(!set.contains(&victim, &mut h), "victim is gone");
+                assert_eq!(set.len(&mut h), 2);
+            })
+    })
+}
 
-/// Builds {10, 30} (so inserting 20 targets the edge internal(30).left →
-/// leaf(10) with sibling leaf(30)), parks the inserter of 20 right before its
-/// edge CAS, completes `remove(&removed_key)`, then releases.
-fn force_bst_schedule(removed_key: u64) {
-    let _serial = schedule_lock();
-    let set = Arc::new(LockFreeBst::<u64, _>::new(hazard::Hazard::new(
-        deferred_config(),
-    )));
-    let mut main_handle = set.register();
-    assert!(set.insert(10, &mut main_handle));
-    assert!(set.insert(30, &mut main_handle));
-
-    let trap = Trap::arm("bst::insert::pre_link_cas");
-    let inserter = {
-        let set = Arc::clone(&set);
-        thread::spawn(move || {
-            let mut handle = set.register();
-            assert!(set.insert(20, &mut handle), "insert must eventually win");
-        })
-    };
-    trap.wait_for_parked();
-    // The window: removing 10 flags the inserter's target edge (injection);
-    // removing 30 tags that edge as the survivor and splices the inserter's
-    // validated *parent* out of the tree entirely (the parent is retired).
-    assert!(set.remove(&removed_key, &mut main_handle));
-    trap.release();
-    inserter.join().unwrap();
-
-    assert!(
-        trap.arrivals() >= 2,
-        "the stale edge CAS must fail and retry (arrivals = {})",
-        trap.arrivals()
-    );
-    assert!(set.contains(&20, &mut main_handle));
-    assert!(!set.contains(&removed_key, &mut main_handle));
-    let untouched = if removed_key == 10 { 30 } else { 10 };
-    assert!(set.contains(&untouched, &mut main_handle));
+/// Replays a BST schedule whose remove runs inside the inserter's edge-CAS
+/// window and asserts the stale CAS failed and the insert retried.
+fn assert_bst_window_retries(scenario: &Scenario) {
+    let trace = find_and_replay(scenario, "bst::insert::pre_link_cas", &[SPAWN_POINT]);
+    assert_retried(&trace, "bst::insert::pre_link_cas");
 }
 
 #[test]
 fn bst_insert_survives_target_leaf_removed_in_the_window() {
-    force_bst_schedule(10);
+    // Inserting 20 into {10, 30} targets internal(30).left → leaf(10);
+    // removing 10 flags that very edge, so the stale CAS expecting it clean
+    // fails.
+    assert_bst_window_retries(&bst_scenario(10, 30, 20, 10));
 }
 
 #[test]
 fn bst_insert_survives_parent_spliced_out_in_the_window() {
-    force_bst_schedule(30);
+    // Inserting 20 into {10, 30} targets internal(30).left → leaf(10);
+    // removing 30 tags that edge as the survivor and splices the inserter's
+    // validated *parent* out of the tree entirely (the parent is retired).
+    assert_bst_window_retries(&bst_scenario(10, 30, 20, 30));
 }
